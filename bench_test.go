@@ -10,6 +10,7 @@
 package dynnoffload
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -354,5 +355,35 @@ func BenchmarkServeStep(b *testing.B) {
 	}
 	if int(rep.Total.Completed) != b.N {
 		b.Fatalf("completed %d of %d requests", rep.Total.Completed, b.N)
+	}
+}
+
+// BenchmarkServeStepDepth is BenchmarkServeStep at fixed stream lengths of
+// 250, 1000 and 4000 requests, each stream queued whole at once: one op is
+// one serve.Run, and ns/request stays flat only if a dispatch costs the same
+// at every queue depth.
+func BenchmarkServeStepDepth(b *testing.B) {
+	w := workbench(b)
+	mb := w.Bench("var-BERT")
+	cfg := core.DefaultConfig(mb.Platform)
+	cfg.Plans = w.Plans
+	for _, n := range []int{250, 1000, 4000} {
+		b.Run(fmt.Sprintf("requests=%d", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				rep, err := serve.Run(&serve.Backend{Engine: core.NewEngine(cfg, w.Pilot), Pool: mb.Test}, serve.Config{
+					Tenants: []serve.TenantConfig{{
+						Name: "bench", Requests: n, RatePerSec: 1e6,
+						Seed: benchOpts().Seed + 7, MaxQueue: n,
+					}},
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if int(rep.Total.Completed) != n {
+					b.Fatalf("completed %d of %d requests", rep.Total.Completed, n)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/request")
+		})
 	}
 }

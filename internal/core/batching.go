@@ -16,52 +16,10 @@ import (
 //  2. batched operators run longer on the GPU, giving migration *more* room
 //     to hide — batching does not compromise DyNN-Offload's effectiveness.
 
-// BatchedOp is one merged operator: Count graphs execute an operator with
-// this signature at this depth.
-type BatchedOp struct {
-	Name  string
-	Depth int
-	Count int
-	// FLOPs and Bytes are the summed single-graph costs.
-	FLOPs int64
-	Bytes int64
-}
-
 // BatchInterference inflates the arithmetic portion of a batched kernel:
 // the paper notes batched operators run longer due to extra cache misses
 // from thread-block scheduling [77] and TLB misses [13].
 const BatchInterference = 1.1
-
-// DynamicBatch merges the resolved forward graphs of several samples by
-// (depth, operator name) — operators of the same kind at the same depth
-// fuse into one launch.
-func DynamicBatch(graphs []*graph.Resolved) []BatchedOp {
-	type key struct {
-		depth int
-		name  string
-	}
-	order := []key{}
-	merged := map[key]*BatchedOp{}
-	for _, g := range graphs {
-		for depth, op := range g.Ops {
-			k := key{depth, op.Name}
-			b, ok := merged[k]
-			if !ok {
-				b = &BatchedOp{Name: op.Name, Depth: depth}
-				merged[k] = b
-				order = append(order, k)
-			}
-			b.Count++
-			b.FLOPs += op.FLOPs
-			b.Bytes += op.Bytes()
-		}
-	}
-	out := make([]BatchedOp, 0, len(order))
-	for _, k := range order {
-		out = append(out, *merged[k])
-	}
-	return out
-}
 
 // BatchedKernelTimeNS models one batched launch: the kernel-launch overhead
 // is paid once instead of count times (the benefit of batching), while the
@@ -85,25 +43,67 @@ type BatchingReport struct {
 }
 
 // SimulateDynamicBatch evaluates the batching benefit for a set of samples
-// of one model context (forward pass, which is where graphs differ).
+// of one model context (forward pass, which is where graphs differ). The
+// forward graphs merge by (depth, operator name): operators of the same kind
+// at the same position of their forward sequence fuse into one launch
+// (TensorFlow-Fold-style depth batching [35]).
+//
+// The serving scheduler calls this on every dispatch, so it allocates
+// nothing on a warm engine: each path's sequential forward time is computed
+// once per engine (fwdNS, keyed by PathInfo identity), and the merge groups
+// each depth's operators by pairwise scan over the batch — a group is counted
+// at its first member — instead of building a per-batch map.
 func (e *Engine) SimulateDynamicBatch(infos []*pilot.PathInfo) BatchingReport {
-	var rep BatchingReport
-	rep.Graphs = len(infos)
-	var graphs []*graph.Resolved
+	rep := BatchingReport{Graphs: len(infos)}
+	depth := 0
 	for _, info := range infos {
-		g := &graph.Resolved{Ops: info.Iteration.Forward}
-		graphs = append(graphs, g)
-		for _, op := range g.Ops {
-			rep.SequentialOps++
-			rep.SequentialNS += e.CM.OpTime(op)
+		fwd := info.Iteration.Forward
+		rep.SequentialOps += len(fwd)
+		rep.SequentialNS += e.forwardNS(info)
+		depth = max(depth, len(fwd))
+	}
+	launch := e.CM.Dev.LaunchNS
+	for d := 0; d < depth; d++ {
+		for i, info := range infos {
+			fwd := info.Iteration.Forward
+			if d >= len(fwd) || opAtDepth(infos[:i], d, fwd[d].Name) {
+				continue // no op here, or fused into an earlier member's group
+			}
+			count, flops := 1, fwd[d].FLOPs
+			for _, other := range infos[i+1:] {
+				if f := other.Iteration.Forward; d < len(f) && f[d].Name == fwd[d].Name {
+					count++
+					flops += f[d].FLOPs
+				}
+			}
+			rep.BatchedLaunches++
+			single := e.CM.OpTime(&graph.Op{Name: fwd[d].Name, FLOPs: flops / int64(count)})
+			rep.BatchedNS += BatchedKernelTimeNS(single, launch, count)
 		}
 	}
-	batched := DynamicBatch(graphs)
-	rep.BatchedLaunches = len(batched)
-	launch := e.CM.Dev.LaunchNS
-	for _, b := range batched {
-		single := e.CM.OpTime(&graph.Op{Name: b.Name, FLOPs: b.FLOPs / int64(b.Count)})
-		rep.BatchedNS += BatchedKernelTimeNS(single, launch, b.Count)
-	}
 	return rep
+}
+
+// opAtDepth reports whether any of infos runs an operator named name at
+// forward depth d.
+func opAtDepth(infos []*pilot.PathInfo, d int, name string) bool {
+	for _, info := range infos {
+		if f := info.Iteration.Forward; d < len(f) && f[d].Name == name {
+			return true
+		}
+	}
+	return false
+}
+
+// forwardNS returns info's sequential forward time under the engine's cost
+// model, computing it on the path's first batch only.
+func (e *Engine) forwardNS(info *pilot.PathInfo) int64 {
+	if ns, ok := e.fwdNS.lookup(info); ok {
+		return ns
+	}
+	var ns int64
+	for _, op := range info.Iteration.Forward {
+		ns += e.CM.OpTime(op)
+	}
+	return e.fwdNS.insert(info, ns)
 }

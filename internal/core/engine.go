@@ -123,8 +123,11 @@ type Engine struct {
 	memo *shardedCache
 	// resolved-plan L1s (see plan.go): paths by PathInfo identity, custom
 	// partitions by (analysis ID, partition digest).
-	pathPlans planL1[*pilot.PathInfo]
-	partPlans planL1[partPlanKey]
+	pathPlans planL1[*pilot.PathInfo, *ResolvedPlan]
+	partPlans planL1[partPlanKey, *ResolvedPlan]
+	// fwdNS memoizes each path's sequential forward time under CM, the
+	// per-path half of SimulateDynamicBatch (batching.go).
+	fwdNS planL1[*pilot.PathInfo, int64]
 }
 
 // NewEngine builds a runtime around a trained pilot.

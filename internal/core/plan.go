@@ -201,25 +201,28 @@ type partPlanKey struct {
 	blocks   uint64
 }
 
-// planL1 is the engine-local pointer-keyed plan index: lock-free reads via
-// atomic.Pointer snapshots, copy-on-write inserts under mu.
-type planL1[K comparable] struct {
+// planL1 is the engine-local pointer-keyed index behind the plan L1s and the
+// per-path forward-time memo: lock-free reads via atomic.Pointer snapshots,
+// copy-on-write inserts under mu.
+type planL1[K comparable, V any] struct {
 	mu sync.Mutex
-	m  atomic.Pointer[map[K]*ResolvedPlan]
+	m  atomic.Pointer[map[K]V]
 }
 
-func (l *planL1[K]) lookup(k K) *ResolvedPlan {
+func (l *planL1[K, V]) lookup(k K) (V, bool) {
 	if m := l.m.Load(); m != nil {
-		return (*m)[k]
+		v, ok := (*m)[k]
+		return v, ok
 	}
-	return nil
+	var zero V
+	return zero, false
 }
 
-// insert publishes k→plan, keeping an existing entry if one raced in first,
-// and returns the map's plan for k.
-func (l *planL1[K]) insert(k K, plan *ResolvedPlan) *ResolvedPlan {
+// insert publishes k→v, keeping an existing entry if one raced in first, and
+// returns the map's value for k.
+func (l *planL1[K, V]) insert(k K, v V) V {
 	l.mu.Lock()
-	var old map[K]*ResolvedPlan
+	var old map[K]V
 	if p := l.m.Load(); p != nil {
 		old = *p
 	}
@@ -227,14 +230,14 @@ func (l *planL1[K]) insert(k K, plan *ResolvedPlan) *ResolvedPlan {
 		l.mu.Unlock()
 		return existing
 	}
-	next := make(map[K]*ResolvedPlan, len(old)+1)
-	for k2, v := range old {
-		next[k2] = v
+	next := make(map[K]V, len(old)+1)
+	for k2, v2 := range old {
+		next[k2] = v2
 	}
-	next[k] = plan
+	next[k] = v
 	l.m.Store(&next)
 	l.mu.Unlock()
-	return plan
+	return v
 }
 
 // PlanCacheKey is the shared-cache (L2) key an engine with the given GPU
@@ -257,7 +260,7 @@ func PlanCacheKey(info *pilot.PathInfo, capacityBytes int64) string {
 // Safe for concurrent use; concurrent misses build duplicate (identical)
 // plans and converge on the first published.
 func (e *Engine) planFor(info *pilot.PathInfo) *ResolvedPlan {
-	if plan := e.pathPlans.lookup(info); plan != nil {
+	if plan, ok := e.pathPlans.lookup(info); ok {
 		return plan
 	}
 	capacity := e.Cfg.Platform.GPU.MemBytes
@@ -282,7 +285,7 @@ func (e *Engine) planFor(info *pilot.PathInfo) *ResolvedPlan {
 // partitions have no canonical signature to share under.
 func (e *Engine) partitionPlan(an *sentinel.Analysis, blocks []sentinel.Block) *ResolvedPlan {
 	k := partPlanKey{analysis: an.ID(), blocks: sentinel.BlocksDigest(blocks)}
-	if plan := e.partPlans.lookup(k); plan != nil {
+	if plan, ok := e.partPlans.lookup(k); ok {
 		return plan
 	}
 	return e.partPlans.insert(k, buildResolvedPlan(an, blocks, e.Cfg.Platform.GPU.MemBytes))

@@ -2,7 +2,6 @@ package gpusim
 
 import (
 	"errors"
-	"fmt"
 	"sort"
 )
 
@@ -32,20 +31,20 @@ func (a *Allocator) SetQuota(owner string, bytes int64) {
 func (a *Allocator) Quota(owner string) int64 { return a.quotas[owner] }
 
 // Reserve places a block of size bytes for owner, enforcing its quota before
-// consuming space. The error distinguishes the tenant hitting its own cap
-// (ErrQuotaExceeded) from the device lacking a contiguous extent
-// (ErrAllocNoSpace); release with Free(id).
+// consuming space; release with Free(id). A refusal returns the bare sentinel
+// — ErrQuotaExceeded when the tenant hit its own cap, ErrAllocNoSpace when
+// the device lacks a contiguous extent (size > LargestExtent) — without
+// formatting or allocating: the serving scheduler probes Reserve on deep
+// queues and discards every refusal.
 func (a *Allocator) Reserve(owner string, id, size int64) error {
 	if _, dup := a.blocks[id]; dup {
 		return nil
 	}
 	if q, capped := a.quotas[owner]; capped && a.ownerUsed[owner]+size > q {
-		return fmt.Errorf("gpusim: owner %q at %d of %d bytes, requested %d: %w",
-			owner, a.ownerUsed[owner], q, size, ErrQuotaExceeded)
+		return ErrQuotaExceeded
 	}
 	if !a.alloc(owner, id, size) {
-		return fmt.Errorf("gpusim: reserve %d bytes for %q, largest extent %d: %w",
-			size, owner, a.LargestExtent(), ErrAllocNoSpace)
+		return ErrAllocNoSpace
 	}
 	return nil
 }

@@ -174,3 +174,35 @@ func TestAllocatorResetClearsAccounting(t *testing.T) {
 		t.Errorf("quota not enforced after Reset: %v", err)
 	}
 }
+
+// TestReserveRefusalAllocatesNothing pins that a refused reservation — quota
+// or no-space — returns the bare sentinel without allocating: the serving
+// scheduler probes Reserve against deep queues and discards every refusal.
+func TestReserveRefusalAllocatesNothing(t *testing.T) {
+	a := NewAllocator(100)
+	a.SetQuota("a", 50)
+	if err := a.Reserve("a", 1, 40); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Reserve("b", 2, 50); err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		owner string
+		size  int64
+		want  error
+	}{
+		{"a", 20, ErrQuotaExceeded},
+		{"b", 20, ErrAllocNoSpace},
+	}
+	for _, c := range cases {
+		var err error
+		allocs := testing.AllocsPerRun(100, func() { err = a.Reserve(c.owner, 3, c.size) })
+		if !errors.Is(err, c.want) {
+			t.Fatalf("Reserve(%s, %d) = %v, want %v", c.owner, c.size, err, c.want)
+		}
+		if allocs != 0 {
+			t.Errorf("refused Reserve(%s, %d) allocates %.0f times, want 0", c.owner, c.size, allocs)
+		}
+	}
+}

@@ -28,9 +28,9 @@ type Op struct {
 // Bytes returns the total bytes touched (inputs + outputs, duplicates counted
 // once), which drives the memory-bandwidth term of the cost model.
 func (o *Op) Bytes() int64 {
-	all := make([]*tensor.Meta, 0, len(o.Inputs)+len(o.Outputs))
-	all = append(all, o.Inputs...)
-	all = append(all, o.Outputs...)
+	// Operand lists are short: the concatenation stays on the stack.
+	var buf [8]*tensor.Meta
+	all := append(append(buf[:0], o.Inputs...), o.Outputs...)
 	return tensor.TotalBytes(all)
 }
 

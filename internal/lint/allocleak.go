@@ -311,8 +311,8 @@ func isPureBuiltinLike(fn *types.Func) bool {
 }
 
 // acquireTransfer detects the selectBatch shape: the function acquires on an
-// allocator parameter, appends the holder into a slice, and returns that
-// slice — the caller inherits the release obligation.
+// allocator parameter, appends the holder into a slice on the success path,
+// and returns that slice — the caller inherits the release obligation.
 func acquireTransfer(info *types.Info, fd *ast.FuncDecl) *acquireSummary {
 	allocParams := map[types.Object]int{}
 	i := 0
@@ -330,12 +330,31 @@ func acquireTransfer(info *types.Info, fd *ast.FuncDecl) *acquireSummary {
 	if len(allocParams) == 0 {
 		return nil
 	}
-	subst := rangeSubsts(info, fd.Body)
+	// paramAcquisition matches an acquisition call on an allocator parameter.
+	paramAcquisition := func(call *ast.CallExpr) (int, bool) {
+		recv, name, ok := allocatorCall(info, call)
+		if !ok {
+			return 0, false
+		}
+		spec, isAcq := acquireMethods[name]
+		if !isAcq || spec.idArg >= len(call.Args) {
+			return 0, false
+		}
+		rid := rootIdent(recv)
+		if rid == nil {
+			return 0, false
+		}
+		i, isParam := allocParams[objectOf(info, rid)]
+		return i, isParam
+	}
+	follows := followingStmts(fd.Body)
 	var sum *acquireSummary
-	// Only the if-statement form is summarized: the acquisition call sits in
-	// the condition, so appends inside the then-branch are exactly the
-	// success-path carriers (rest/overflow appends elsewhere don't hold
-	// reserved blocks).
+	// Only the if-statement form is summarized — the acquisition call sits in
+	// the condition, or in the init that binds the condition's guard — and
+	// only appends on the success path carry reserved blocks (rest/overflow
+	// appends elsewhere don't): the then-branch when the condition holds on
+	// success, otherwise the else-branch plus, when the failure branch leaves
+	// the block (return, continue, break), the statements after the if.
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		ifStmt, ok := n.(*ast.IfStmt)
 		if !ok || sum != nil {
@@ -343,28 +362,29 @@ func acquireTransfer(info *types.Info, fd *ast.FuncDecl) *acquireSummary {
 		}
 		var acq *ast.CallExpr
 		var pIdx int
-		ast.Inspect(ifStmt.Cond, func(cn ast.Node) bool {
-			call, ok := cn.(*ast.CallExpr)
-			if !ok || acq != nil {
+		var guard types.Object
+		if as, ok := ifStmt.Init.(*ast.AssignStmt); ok && len(as.Rhs) == 1 && len(as.Lhs) == 1 {
+			if call, ok := unparen(as.Rhs[0]).(*ast.CallExpr); ok {
+				if i, ok := paramAcquisition(call); ok {
+					acq, pIdx = call, i
+					if gid, ok := unparen(as.Lhs[0]).(*ast.Ident); ok {
+						guard = objectOf(info, gid)
+					}
+				}
+			}
+		}
+		if acq == nil {
+			ast.Inspect(ifStmt.Cond, func(cn ast.Node) bool {
+				call, ok := cn.(*ast.CallExpr)
+				if !ok || acq != nil {
+					return true
+				}
+				if i, ok := paramAcquisition(call); ok {
+					acq, pIdx = call, i
+				}
 				return true
-			}
-			recv, name, ok := allocatorCall(info, call)
-			if !ok {
-				return true
-			}
-			spec, isAcq := acquireMethods[name]
-			if !isAcq || spec.idArg >= len(call.Args) {
-				return true
-			}
-			rid := rootIdent(recv)
-			if rid == nil {
-				return true
-			}
-			if i, isParam := allocParams[objectOf(info, rid)]; isParam {
-				acq, pIdx = call, i
-			}
-			return true
-		})
+			})
+		}
 		if acq == nil {
 			return true
 		}
@@ -376,11 +396,23 @@ func acquireTransfer(info *types.Info, fd *ast.FuncDecl) *acquireSummary {
 			return true
 		}
 		holder := objectOf(info, hid)
-		if _, ranged := subst[holder]; !ranged {
-			return true // only the ranged-holder shape transfers
+		onThen, known := successOnThen(info, ifStmt.Cond, acq, guard)
+		if !known {
+			return true
+		}
+		var success []ast.Stmt
+		if onThen {
+			success = ifStmt.Body.List
+		} else {
+			if els, ok := ifStmt.Else.(*ast.BlockStmt); ok {
+				success = append(success, els.List...)
+			}
+			if leavesBlock(ifStmt.Body) {
+				success = append(success, follows[ifStmt]...)
+			}
 		}
 		suffix := selectorSuffix(idExpr)
-		carriers := appendCarriers(info, ifStmt.Body)
+		carriers := appendCarriers(info, &ast.BlockStmt{List: success})
 		for carrier, elems := range carriers {
 			if !elems[holder] {
 				continue
@@ -392,6 +424,89 @@ func acquireTransfer(info *types.Info, fd *ast.FuncDecl) *acquireSummary {
 		return true
 	})
 	return sum
+}
+
+// successOnThen reports whether an if condition holds exactly on the success
+// of acquisition acq (tested directly, or through guard, the variable the
+// if's init bound its result to): true for `acq == nil`, `err == nil`, a
+// bool acquisition or guard, or a conjunction containing one; false for
+// their negations. known is false for any other condition.
+func successOnThen(info *types.Info, cond ast.Expr, acq *ast.CallExpr, guard types.Object) (onThen, known bool) {
+	isAcq := func(e ast.Expr) bool {
+		if call, ok := unparen(e).(*ast.CallExpr); ok && call == acq {
+			return true
+		}
+		id, ok := unparen(e).(*ast.Ident)
+		return ok && guard != nil && objectOf(info, id) == guard
+	}
+	errGuard := acquireMethods[unparen(acq.Fun).(*ast.SelectorExpr).Sel.Name].errGuard
+	switch c := unparen(cond).(type) {
+	case *ast.UnaryExpr:
+		if c.Op == token.NOT {
+			onThen, known = successOnThen(info, c.X, acq, guard)
+			return !onThen, known
+		}
+	case *ast.BinaryExpr:
+		switch c.Op {
+		case token.LAND: // then: every conjunct holds
+			if t, k := successOnThen(info, c.X, acq, guard); k && t {
+				return true, true
+			}
+			if t, k := successOnThen(info, c.Y, acq, guard); k && t {
+				return true, true
+			}
+		case token.EQL, token.NEQ:
+			if !errGuard {
+				return false, false
+			}
+			if (isAcq(c.X) && isNil(info, c.Y)) || (isAcq(c.Y) && isNil(info, c.X)) {
+				return c.Op == token.EQL, true
+			}
+		}
+	default:
+		if !errGuard && isAcq(c) {
+			return true, true
+		}
+	}
+	return false, false
+}
+
+// leavesBlock reports whether a branch body ends by leaving its enclosing
+// block: return, continue, break or goto.
+func leavesBlock(body *ast.BlockStmt) bool {
+	if len(body.List) == 0 {
+		return false
+	}
+	switch body.List[len(body.List)-1].(type) {
+	case *ast.ReturnStmt, *ast.BranchStmt:
+		return true
+	}
+	return false
+}
+
+// followingStmts maps each if statement that sits directly in a statement
+// list to the statements after it in that list.
+func followingStmts(body *ast.BlockStmt) map[*ast.IfStmt][]ast.Stmt {
+	out := map[*ast.IfStmt][]ast.Stmt{}
+	record := func(list []ast.Stmt) {
+		for i, st := range list {
+			if ifStmt, ok := st.(*ast.IfStmt); ok {
+				out[ifStmt] = list[i+1:]
+			}
+		}
+	}
+	ast.Inspect(body, func(n ast.Node) bool {
+		switch v := n.(type) {
+		case *ast.BlockStmt:
+			record(v.List)
+		case *ast.CaseClause:
+			record(v.Body)
+		case *ast.CommClause:
+			record(v.Body)
+		}
+		return true
+	})
+	return out
 }
 
 // selectorSuffix returns the selector path below the root identifier of e,

@@ -115,3 +115,27 @@ func (l *ledger) Release(a *Allocator) {
 	}
 	l.held = nil
 }
+
+// Fill reserves pending requests while the allocator accepts them: the
+// error-guarded probe skips a refusal, and the success path after it hands
+// the reserved request (not a range variable) to the returned batch.
+func Fill(a *Allocator, owner string, pend []req) []req {
+	var batch []req
+	for i := 0; i < len(pend); i++ {
+		r := pend[i]
+		if err := a.Reserve(owner, r.id, 1); err != nil {
+			continue
+		}
+		batch = append(batch, r)
+	}
+	return batch
+}
+
+// DrainFill group-releases Fill's batch.
+func DrainFill(a *Allocator, owner string, pend []req) int {
+	batch := Fill(a, owner, pend)
+	for _, r := range batch {
+		a.Free(r.id)
+	}
+	return len(batch)
+}

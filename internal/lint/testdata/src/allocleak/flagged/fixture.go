@@ -85,3 +85,28 @@ func (a *Allocator) EvictBypass(size int64) {
 func RebalanceBypass(a *Allocator, size int64) {
 	a.account("rebalance", size)
 }
+
+type req struct {
+	id int64
+}
+
+// Fill reserves pending requests while the allocator accepts them: the
+// error-guarded probe skips a refusal, and the success path after it hands
+// the reserved request to the returned batch.
+func Fill(a *Allocator, owner string, pend []req) []req {
+	var batch []req
+	for i := 0; i < len(pend); i++ {
+		r := pend[i]
+		if err := a.Reserve(owner, r.id, 1); err != nil {
+			continue
+		}
+		batch = append(batch, r)
+	}
+	return batch
+}
+
+// FillLeak takes Fill's reserved batch and never releases it.
+func FillLeak(a *Allocator, owner string, pend []req) int {
+	batch := Fill(a, owner, pend)
+	return len(batch)
+}

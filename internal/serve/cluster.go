@@ -197,7 +197,7 @@ func RunCluster(b *ClusterBackend, cfg ClusterConfig) (*ClusterReport, error) {
 	}
 	s := &clusterLoop{
 		cfg: cfg, backend: b, ledgers: ledgers,
-		maxBatch: maxBatch, starveAge: starveAge,
+		q:   newQueue(arrivals, cfg.Tenants, starveAge, maxBatch),
 		rec: rec, tenantRecs: tenantRecs,
 		acc:         make([]tenantAcc, len(cfg.Tenants)),
 		homes:       make([]int, len(cfg.Tenants)),
@@ -235,16 +235,19 @@ type clusterLoop struct {
 	cfg        ClusterConfig
 	backend    *ClusterBackend
 	ledgers    []*gpusim.Allocator
-	maxBatch   int
-	starveAge  int64
+	q          *queue
 	rec        *obsv.Recorder
 	tenantRecs []*obsv.Recorder
 
 	now     int64
-	queued  []*request
 	acc     []tenantAcc
 	batches int64
 	slots   slotCounter
+	scratch dispatchScratch
+	// front is the request the queue held first: first in dispatch order at
+	// the last dispatch, else the earliest admitted since. Its tenant's home
+	// replica is preferred for the next batch.
+	front *request
 
 	homes      []int   // tenant -> home replica
 	free       []int64 // replica busy-until
@@ -264,13 +267,16 @@ type clusterLoop struct {
 
 	// learner is the online feedback loop; nil when Config.Online is off.
 	learner *online.Learner
+	// retrainNS is the cumulative retrain stall charged to the host
+	// timeline (see request.retrainMarkNS).
+	retrainNS int64
 }
 
 // run consumes the sorted arrival stream.
 func (s *clusterLoop) run(arrivals []*request) error {
 	next := 0
-	for next < len(arrivals) || len(s.queued) > 0 {
-		if len(s.queued) == 0 {
+	for next < len(arrivals) || s.q.n > 0 {
+		if s.q.n == 0 {
 			if s.now < arrivals[next].arrivalNS {
 				s.now = arrivals[next].arrivalNS
 			}
@@ -279,7 +285,7 @@ func (s *clusterLoop) run(arrivals []*request) error {
 			s.admit(arrivals[next])
 			next++
 		}
-		if len(s.queued) == 0 {
+		if s.q.n == 0 {
 			continue
 		}
 		s.scaleDown()
@@ -323,7 +329,11 @@ func (s *clusterLoop) admit(r *request) {
 		return
 	}
 	a.inQueue++
-	s.queued = append(s.queued, r)
+	r.retrainMarkNS = s.retrainNS
+	s.q.push(r)
+	if s.front == nil {
+		s.front = r
+	}
 	recordAdmission(flight, obsv.FlightAdmit, r, name)
 }
 
@@ -341,7 +351,7 @@ func (s *clusterLoop) pickReplica() int {
 	if s.free[earliest] > s.now {
 		return earliest
 	}
-	if home := s.homes[s.queued[0].tenant]; home < s.active && s.free[home] <= s.now {
+	if home := s.homes[s.front.tenant]; home < s.active && s.free[home] <= s.now {
 		return home
 	}
 	pick := -1
@@ -359,34 +369,23 @@ func (s *clusterLoop) pickReplica() int {
 // dispatch forms one continuous batch against replica r's ledger and
 // occupies the replica for its service time.
 func (s *clusterLoop) dispatch(r int) error {
-	var batch []*request
-	batch, s.queued = selectBatch(s.queued, s.now, s.starveAge, s.maxBatch, s.ledgers[r], s.cfg.Tenants)
+	batch := s.q.selectBatch(s.now, s.ledgers[r])
 	if len(batch) == 0 {
 		// Unreachable: admission caps needBytes at the smallest replica and
 		// r's ledger is empty between its batches — but fail loudly.
-		return fmt.Errorf("serve: no request schedulable at t=%dns with %d queued", s.now, len(s.queued))
+		return fmt.Errorf("serve: no request schedulable at t=%dns with %d queued", s.now, s.q.n)
 	}
+	s.front = s.q.front(s.now)
 
-	exs := make([]*pilot.Example, len(batch))
-	for i, req := range batch {
-		exs[i] = req.ex
-	}
-	var pilots []*pilot.Pilot
-	if s.learner != nil {
-		pilots = make([]*pilot.Pilot, len(batch))
-		for i, req := range batch {
-			pilots[i] = s.learner.PilotFor(req.tenant)
-		}
-	}
 	base := s.slots.take(len(batch))
 	eng := s.backend.Engines[r]
-	results, err := eng.RunBatch(exs, core.EpochOptions{
+	results, err := eng.RunBatch(s.scratch.examples(batch), core.EpochOptions{
 		Workers:     s.cfg.Workers,
 		Recorder:    s.rec,
 		Tracer:      s.cfg.Tracer,
 		TraceBase:   base,
 		ClockBaseNS: s.now,
-		Pilots:      pilots,
+		Pilots:      s.scratch.pilotsFor(batch, s.learner),
 	})
 	for _, req := range batch {
 		s.ledgers[r].Free(req.id)
@@ -396,7 +395,7 @@ func (s *clusterLoop) dispatch(r int) error {
 		return fmt.Errorf("serve: replica %d batch at t=%dns: %w", r, s.now, err)
 	}
 
-	serviceNS := serviceTime(eng, batch, results)
+	serviceNS := s.scratch.serviceTime(eng, batch, results)
 	done := s.now + serviceNS
 	s.free[r] = done
 	s.batches++
@@ -415,7 +414,7 @@ func (s *clusterLoop) dispatch(r int) error {
 		waitNS := s.now - req.arrivalNS
 		e2e := done - req.arrivalNS
 		a.complete(e2e, waitNS, req.deadlineNS < done,
-			attribution(waitNS, req.quotaNS, req.retrainNS, serviceNS, results[i].Breakdown))
+			attribution(waitNS, req.quotaNS, s.retrainNS-req.retrainMarkNS, serviceNS, results[i].Breakdown))
 		s.completed[r]++
 		if s.homes[req.tenant] == r {
 			s.homeServed[req.tenant]++
@@ -442,7 +441,8 @@ func (s *clusterLoop) dispatch(r int) error {
 // timeline: outcomes feed the learner in dispatch-processing order (the
 // run's deterministic serial order), and a retrain stall advances the host
 // clock — the replicas keep computing, but no new batch dispatches until the
-// refit finishes — crediting every queued request's pilot_retrain component.
+// refit finishes — crediting every queued request's pilot_retrain component
+// through the cumulative stall.
 func (s *clusterLoop) learn(batch []*request, results []core.SampleResult) error {
 	if s.learner == nil {
 		return nil
@@ -455,12 +455,8 @@ func (s *clusterLoop) learn(batch []*request, results []core.SampleResult) error
 		}
 		stallNS += ns
 	}
-	if stallNS > 0 {
-		s.now += stallNS
-		for _, q := range s.queued {
-			q.retrainNS += stallNS
-		}
-	}
+	s.now += stallNS
+	s.retrainNS += stallNS
 	return nil
 }
 

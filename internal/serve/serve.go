@@ -112,14 +112,18 @@ type request struct {
 	deadlineNS int64 // math.MaxInt64 when the tenant has no SLO
 	ex         *pilot.Example
 	needBytes  int64
+	// lane and slot place the request in the dispatch queue's index.
+	lane, slot int
 	// Quota-wait tracking for SLO attribution: quotaSinceNS is the simulated
 	// time of the first refused reservation of the current blocked stretch
 	// (0 when not blocked); quotaNS accumulates the blocked time at dispatch.
 	quotaSinceNS int64
 	quotaNS      int64
-	// retrainNS accumulates the online-learning retrain stalls this request
-	// sat queued behind, credited to the pilot_retrain SLO component.
-	retrainNS int64
+	// retrainMarkNS is the loop's cumulative online-learning retrain stall
+	// at admission; the stall the request sat queued behind — its
+	// pilot_retrain SLO component — is the cumulative stall at dispatch
+	// minus this mark.
+	retrainMarkNS int64
 }
 
 // TenantReport is one tenant's serving summary.
@@ -208,8 +212,9 @@ func Run(b *Backend, cfg Config) (*Report, error) {
 	}
 
 	s := &loop{
-		cfg: cfg, backend: b, ledger: ledger, maxBatch: maxBatch,
-		starveAge: starveAge, rec: rec, tenantRecs: tenantRecs,
+		cfg: cfg, backend: b, ledger: ledger,
+		q:   newQueue(arrivals, cfg.Tenants, starveAge, maxBatch),
+		rec: rec, tenantRecs: tenantRecs,
 		acc:     make([]tenantAcc, len(cfg.Tenants)),
 		flight:  obsv.NewFlightRecorder(0, cfg.Flight),
 		learner: learner,
@@ -232,33 +237,28 @@ type loop struct {
 	cfg        Config
 	backend    *Backend
 	ledger     *gpusim.Allocator
-	maxBatch   int
-	starveAge  int64
+	q          *queue
 	rec        *obsv.Recorder
 	tenantRecs []*obsv.Recorder
 
 	now     int64
-	queued  []*request
 	acc     []tenantAcc
 	batches int64
 	slots   slotCounter // dispatch-order trace/recorder index counter
 	flight  *obsv.FlightRecorder
-	// exs is the dispatch scratch buffer, reused across batches: RunBatch
-	// never retains its argument slice past the call, and a sweep replays
-	// thousands of dispatches, so one buffer serves the whole run.
-	exs []*pilot.Example
+	scratch dispatchScratch
 	// learner is the online feedback loop; nil when Config.Online is off.
 	learner *online.Learner
-	// pilots mirrors exs when the learner is active: per-request pilot
-	// overrides (tenant adapter or refined shared pilot) for RunBatch.
-	pilots []*pilot.Pilot
+	// retrainNS is the cumulative retrain stall charged to the host
+	// timeline (see request.retrainMarkNS).
+	retrainNS int64
 }
 
 // run consumes the sorted arrival stream.
 func (s *loop) run(arrivals []*request) error {
 	next := 0
-	for next < len(arrivals) || len(s.queued) > 0 {
-		if len(s.queued) == 0 {
+	for next < len(arrivals) || s.q.n > 0 {
+		if s.q.n == 0 {
 			// Idle: jump to the next arrival.
 			if s.now < arrivals[next].arrivalNS {
 				s.now = arrivals[next].arrivalNS
@@ -268,7 +268,7 @@ func (s *loop) run(arrivals []*request) error {
 			s.admit(arrivals[next])
 			next++
 		}
-		if len(s.queued) == 0 {
+		if s.q.n == 0 {
 			continue
 		}
 		if err := s.dispatch(); err != nil {
@@ -297,38 +297,28 @@ func (s *loop) admit(r *request) {
 		return
 	}
 	a.inQueue++
-	s.queued = append(s.queued, r)
+	r.retrainMarkNS = s.retrainNS
+	s.q.push(r)
 	recordAdmission(s.flight, obsv.FlightAdmit, r, name)
 }
 
 // dispatch forms one continuous batch from the queue and runs it.
 func (s *loop) dispatch() error {
-	var batch []*request
-	batch, s.queued = selectBatch(s.queued, s.now, s.starveAge, s.maxBatch, s.ledger, s.cfg.Tenants)
+	batch := s.q.selectBatch(s.now, s.ledger)
 	if len(batch) == 0 {
 		// Unreachable with admission capping needBytes at device capacity
 		// (the ledger is empty between batches), but fail loudly rather
 		// than spin.
-		return fmt.Errorf("serve: no request schedulable at t=%dns with %d queued", s.now, len(s.queued))
+		return fmt.Errorf("serve: no request schedulable at t=%dns with %d queued", s.now, s.q.n)
 	}
 
-	s.exs = s.exs[:0]
-	for _, r := range batch {
-		s.exs = append(s.exs, r.ex)
-	}
-	s.pilots = s.pilots[:0]
-	if s.learner != nil {
-		for _, r := range batch {
-			s.pilots = append(s.pilots, s.learner.PilotFor(r.tenant))
-		}
-	}
 	base := s.slots.take(len(batch))
-	results, err := s.backend.Engine.RunBatch(s.exs, core.EpochOptions{
+	results, err := s.backend.Engine.RunBatch(s.scratch.examples(batch), core.EpochOptions{
 		Workers:   s.cfg.Workers,
 		Recorder:  s.rec,
 		Tracer:    s.cfg.Tracer,
 		TraceBase: base,
-		Pilots:    s.pilots,
+		Pilots:    s.scratch.pilotsFor(batch, s.learner),
 	})
 	for _, r := range batch {
 		s.ledger.Free(r.id)
@@ -338,7 +328,7 @@ func (s *loop) dispatch() error {
 		return fmt.Errorf("serve: batch at t=%dns: %w", s.now, err)
 	}
 
-	serviceNS := serviceTime(s.backend.Engine, batch, results)
+	serviceNS := s.scratch.serviceTime(s.backend.Engine, batch, results)
 	done := s.now + serviceNS
 	s.batches++
 	s.rec.ObservePhase(PhaseService, serviceNS)
@@ -351,7 +341,7 @@ func (s *loop) dispatch() error {
 		waitNS := s.now - r.arrivalNS
 		e2e := done - r.arrivalNS
 		a.complete(e2e, waitNS, r.deadlineNS < done,
-			attribution(waitNS, r.quotaNS, r.retrainNS, serviceNS, results[i].Breakdown))
+			attribution(waitNS, r.quotaNS, s.retrainNS-r.retrainMarkNS, serviceNS, results[i].Breakdown))
 		tr := s.tenantRecs[r.tenant]
 		tr.ObservePhase(PhaseQueue, waitNS)
 		tr.ObservePhase(PhaseE2E, e2e)
@@ -366,7 +356,8 @@ func (s *loop) dispatch() error {
 // learn feeds the completed batch's outcomes to the online learner in
 // completion order and charges any retrain stall to the host timeline: the
 // clock advances past the stall and every currently queued request is
-// credited the stall time in its pilot_retrain attribution component.
+// credited the stall time in its pilot_retrain attribution component, by
+// advancing the cumulative stall its admission mark is measured against.
 // (Requests arriving mid-stall simply see it as queue time — the
 // decomposition stays exact either way.) No-op without a learner.
 func (s *loop) learn(batch []*request, results []core.SampleResult) error {
@@ -381,12 +372,8 @@ func (s *loop) learn(batch []*request, results []core.SampleResult) error {
 		}
 		stallNS += ns
 	}
-	if stallNS > 0 {
-		s.now += stallNS
-		for _, q := range s.queued {
-			q.retrainNS += stallNS
-		}
-	}
+	s.now += stallNS
+	s.retrainNS += stallNS
 	return nil
 }
 
@@ -398,58 +385,34 @@ const (
 	PhaseE2E     = "e2e"
 )
 
-// selectBatch orders the queue — starving requests first (oldest-first),
-// then earliest deadline — and greedily fills a batch from the front:
-// same model context as the anchor, memory reserved against the tenant
-// quota on the given ledger. It returns the batch and the requests left
-// queued for a later dispatch. Shared by the single-device loop and the
-// cluster scheduler (which calls it with the chosen replica's ledger).
-func selectBatch(queued []*request, now, starveAge int64, maxBatch int, ledger *gpusim.Allocator, tenants []TenantConfig) (batch, rest []*request) {
-	q := queued
-	sort.SliceStable(q, func(i, j int) bool {
-		a, b := q[i], q[j]
-		as, bs := now-a.arrivalNS > starveAge, now-b.arrivalNS > starveAge
-		if as != bs {
-			return as
-		}
-		if as { // both starving: oldest first
-			if a.arrivalNS != b.arrivalNS {
-				return a.arrivalNS < b.arrivalNS
-			}
-		} else if a.deadlineNS != b.deadlineNS {
-			return a.deadlineNS < b.deadlineNS
-		}
-		if a.arrivalNS != b.arrivalNS {
-			return a.arrivalNS < b.arrivalNS
-		}
-		if a.tenant != b.tenant {
-			return a.tenant < b.tenant
-		}
-		return a.seq < b.seq
-	})
+// dispatchScratch holds the per-dispatch buffers a serving loop reuses
+// across batches: RunBatch and SimulateDynamicBatch never retain their
+// argument slices, and a run replays thousands of dispatches.
+type dispatchScratch struct {
+	exs    []*pilot.Example
+	pilots []*pilot.Pilot
+	infos  []*pilot.PathInfo
+}
 
-	rest = queued[:0]
-	for _, r := range q {
-		if len(batch) < maxBatch && (len(batch) == 0 || r.ex.Ctx == batch[0].ex.Ctx) {
-			if ledger.Reserve(tenants[r.tenant].Name, r.id, r.needBytes) == nil {
-				// Close out any quota-blocked stretch: the request waited on
-				// its memory reservation from the first refusal until now.
-				if r.quotaSinceNS > 0 {
-					r.quotaNS += now - r.quotaSinceNS
-					r.quotaSinceNS = 0
-				}
-				batch = append(batch, r)
-				continue
-			}
-			// Refused by the reservation layer specifically (batch had room
-			// and the context matched): the quota wait starts now.
-			if r.quotaSinceNS == 0 {
-				r.quotaSinceNS = now
-			}
-		}
-		rest = append(rest, r)
+// examples returns the batch's examples, in batch order.
+func (d *dispatchScratch) examples(batch []*request) []*pilot.Example {
+	d.exs = d.exs[:0]
+	for _, r := range batch {
+		d.exs = append(d.exs, r.ex)
 	}
-	return batch, rest
+	return d.exs
+}
+
+// pilotsFor returns the batch's per-request pilot overrides (tenant adapter
+// or refined shared pilot) for RunBatch; empty without a learner.
+func (d *dispatchScratch) pilotsFor(batch []*request, learner *online.Learner) []*pilot.Pilot {
+	d.pilots = d.pilots[:0]
+	if learner != nil {
+		for _, r := range batch {
+			d.pilots = append(d.pilots, learner.PilotFor(r.tenant))
+		}
+	}
+	return d.pilots
 }
 
 // serviceTime models the continuous batch's occupancy of the device: the
@@ -461,9 +424,9 @@ func selectBatch(queued []*request, now, starveAge int64, maxBatch int, ledger *
 // Only simulated time counts: Breakdown.OverheadNS is host wall time (pilot
 // inference and output mapping), so including it would leak scheduling noise
 // into the virtual clock and break the replay contract.
-func serviceTime(eng *core.Engine, batch []*request, results []core.SampleResult) int64 {
+func (d *dispatchScratch) serviceTime(eng *core.Engine, batch []*request, results []core.SampleResult) int64 {
 	var sum, slowest int64
-	infos := make([]*pilot.PathInfo, 0, len(batch))
+	d.infos = d.infos[:0]
 	for i, r := range batch {
 		t := results[i].Breakdown.TotalNS() - results[i].Breakdown.OverheadNS
 		sum += t
@@ -471,12 +434,12 @@ func serviceTime(eng *core.Engine, batch []*request, results []core.SampleResult
 			slowest = t
 		}
 		if info := r.ex.Ctx.PathByKey(r.ex.TruthKey); info != nil {
-			infos = append(infos, info)
+			d.infos = append(d.infos, info)
 		}
 	}
 	service := sum
-	if len(infos) > 1 {
-		rep := eng.SimulateDynamicBatch(infos)
+	if len(d.infos) > 1 {
+		rep := eng.SimulateDynamicBatch(d.infos)
 		service -= rep.SequentialNS - rep.BatchedNS
 	}
 	if service < slowest {

@@ -138,14 +138,21 @@ func (r *Registry) New(name string, kind Kind, dt DType, shape ...int) *Meta {
 }
 
 // TotalBytes sums the sizes of the given tensors, counting each ID once.
+// It dedupes by pairwise scan: operator operand lists are short, so Op.Bytes
+// — called per operator by the cost model on every trace build and batching
+// estimate — never allocates.
 func TotalBytes(ts []*Meta) int64 {
-	seen := make(map[int64]bool, len(ts))
 	var total int64
-	for _, t := range ts {
-		if t == nil || seen[t.ID] {
+next:
+	for i, t := range ts {
+		if t == nil {
 			continue
 		}
-		seen[t.ID] = true
+		for _, u := range ts[:i] {
+			if u != nil && u.ID == t.ID {
+				continue next
+			}
+		}
 		total += t.Bytes()
 	}
 	return total
