@@ -156,10 +156,7 @@ func TestGoldenOnlineSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("workbench construction is expensive")
 	}
-	tab, err := OnlineSweep(testWorkbench(t))
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := onlineSweepTable(testOnlineSweepRows(t))
 	// Window rates, retrain counts, and retrain cost are all seeded simulated
 	// quantities: nothing to mask.
 	goldenCheck(t, "onlinesweep", tab)

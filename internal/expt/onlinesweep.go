@@ -40,7 +40,9 @@ const (
 // the package tests can pin the trajectory ordering without parsing table
 // text.
 type onlineSweepRow struct {
-	name      string
+	name string
+	// static rows have a single path: nothing to predict, no arms played.
+	static    bool
 	migrating bool
 	// First/last windowed mispredict rates per arm.
 	frozenFirst, frozenLast float64
@@ -61,6 +63,15 @@ type onlineSweepRow struct {
 // them on would show a declining "mispredict" rate even for a frozen pilot.
 // The sweep isolates pilot quality, which is the quantity under test.
 func OnlineSweep(wb *Workbench) (*Table, error) {
+	rows, err := wb.onlineSweepRows()
+	if err != nil {
+		return nil, err
+	}
+	return onlineSweepTable(rows), nil
+}
+
+// onlineSweepTable renders the sweep's rows.
+func onlineSweepTable(rows []onlineSweepRow) *Table {
 	tab := &Table{
 		Title: "OnlineSweep: windowed mispredict rate, frozen pilot vs online learning",
 		Header: []string{"model", "migrating", "frozen-first", "frozen-last",
@@ -73,30 +84,42 @@ func OnlineSweep(wb *Workbench) (*Table, error) {
 			"static rows have a single path (nothing to predict) and fits-GPU rows never migrate; both are skipped",
 		},
 	}
+	for _, row := range rows {
+		switch {
+		case row.static:
+			tab.Rows = append(tab.Rows, []string{row.name, "static (1 path)", "-", "-", "-", "-", "-", "-", "-"})
+		case !row.migrating:
+			tab.Rows = append(tab.Rows, []string{row.name, "no (fits GPU)", "-", "-", "-", "-", "-", "-", "-"})
+		default:
+			tab.Rows = append(tab.Rows, []string{
+				row.name, "yes",
+				rate(row.frozenFirst), rate(row.frozenLast),
+				rate(row.onlineFirst), rate(row.onlineLast),
+				fmt.Sprint(row.retrains), ms(row.retrainNS),
+				fmt.Sprintf("%+.3f", row.frozenLast-row.onlineLast),
+			})
+		}
+	}
+	return tab
+}
+
+// onlineSweepRows plays the sweep over every zoo model, in workbench order.
+func (wb *Workbench) onlineSweepRows() ([]onlineSweepRow, error) {
+	var rows []onlineSweepRow
 	for _, mb := range wb.Models {
 		if !mb.Entry.Dynamic {
 			// A static model has one path: the pilot is trivially exact and a
 			// mispredict trajectory carries no information.
-			tab.Rows = append(tab.Rows, []string{mb.Entry.Name, "static (1 path)", "-", "-", "-", "-", "-", "-", "-"})
+			rows = append(rows, onlineSweepRow{name: mb.Entry.Name, static: true})
 			continue
 		}
 		row, err := wb.onlineSweepModel(mb)
 		if err != nil {
 			return nil, err
 		}
-		if !row.migrating {
-			tab.Rows = append(tab.Rows, []string{row.name, "no (fits GPU)", "-", "-", "-", "-", "-", "-", "-"})
-			continue
-		}
-		tab.Rows = append(tab.Rows, []string{
-			row.name, "yes",
-			rate(row.frozenFirst), rate(row.frozenLast),
-			rate(row.onlineFirst), rate(row.onlineLast),
-			fmt.Sprint(row.retrains), ms(row.retrainNS),
-			fmt.Sprintf("%+.3f", row.frozenLast-row.onlineLast),
-		})
+		rows = append(rows, row)
 	}
-	return tab, nil
+	return rows, nil
 }
 
 // onlineSweepModel calibrates one model and plays both arms.

@@ -1,6 +1,29 @@
 package expt
 
-import "testing"
+import (
+	"sync"
+	"testing"
+)
+
+var (
+	onlineSweepOnce   sync.Once
+	onlineSweepShared []onlineSweepRow
+	onlineSweepErr    error
+)
+
+// testOnlineSweepRows plays the online sweep once per test binary: the golden
+// table and the learning-beats-frozen claim read the same rows.
+func testOnlineSweepRows(t *testing.T) []onlineSweepRow {
+	t.Helper()
+	wb := testWorkbench(t)
+	onlineSweepOnce.Do(func() {
+		onlineSweepShared, onlineSweepErr = wb.onlineSweepRows()
+	})
+	if onlineSweepErr != nil {
+		t.Fatal(onlineSweepErr)
+	}
+	return onlineSweepShared
+}
 
 // TestOnlineSweepLearningBeatsFrozen pins the PR's headline claim: with
 // memoization and the mis-prediction cache out of the way, in-loop learning
@@ -11,17 +34,9 @@ func TestOnlineSweepLearningBeatsFrozen(t *testing.T) {
 	if testing.Short() {
 		t.Skip("workbench construction is expensive")
 	}
-	wb := testWorkbench(t)
 	declineModels := map[string]bool{"Tree-CNN": true, "MoE": true}
 	var migrating int
-	for _, mb := range wb.Models {
-		if !mb.Entry.Dynamic {
-			continue
-		}
-		row, err := wb.onlineSweepModel(mb)
-		if err != nil {
-			t.Fatalf("%s: %v", mb.Entry.Name, err)
-		}
+	for _, row := range testOnlineSweepRows(t) {
 		if !row.migrating {
 			continue
 		}

@@ -16,8 +16,8 @@ import (
 // over when ClusterConfig.ScaleWindow is zero.
 const DefaultScaleWindow = 16
 
-// ClusterConfig extends the single-device serving config with replica
-// placement and elastic scaling.
+// ClusterConfig extends the serving config with replica placement and
+// elastic scaling.
 type ClusterConfig struct {
 	Config
 	// Replicas is the GPU replica count; 0 means one per backend engine.
@@ -92,14 +92,14 @@ type ClusterReport struct {
 
 // RunCluster plays cfg's request streams against a pool of GPU replicas on
 // one simulated clock. The loop is serial and deterministic: arrivals admit
-// through the same per-tenant gates as the single-device server into one
-// shared queue; each dispatch picks a replica — the queue front's home if
-// it is free, otherwise the earliest-free (fewest-dispatches, lowest-index)
-// active replica — forms a continuous batch against that replica's own
-// reservation ledger, and occupies the replica for the batch's simulated
-// service time. Replicas overlap in virtual time; the event loop itself
-// never races. With ScaleUpQueueNS set, the active set grows from
-// MinReplicas under sustained queue-delay pressure and shrinks on idleness.
+// through per-tenant gates into one shared queue; each dispatch picks a
+// replica — the queue front's home if it is free, otherwise the earliest-free
+// (fewest-dispatches, lowest-index) active replica — forms a continuous batch
+// against that replica's own reservation ledger, and occupies the replica for
+// the batch's simulated service time. Replicas overlap in virtual time; the
+// event loop itself never races. With ScaleUpQueueNS set, the active set
+// grows from MinReplicas under sustained queue-delay pressure and shrinks on
+// idleness.
 func RunCluster(b *ClusterBackend, cfg ClusterConfig) (*ClusterReport, error) {
 	if len(cfg.Tenants) == 0 {
 		return nil, ErrNoTenants
@@ -195,7 +195,7 @@ func RunCluster(b *ClusterBackend, cfg ClusterConfig) (*ClusterReport, error) {
 	for r := range flights {
 		flights[r] = obsv.NewFlightRecorder(r, cfg.Flight)
 	}
-	s := &clusterLoop{
+	s := &loop{
 		cfg: cfg, backend: b, ledgers: ledgers,
 		q:   newQueue(arrivals, cfg.Tenants, starveAge, maxBatch),
 		rec: rec, tenantRecs: tenantRecs,
@@ -230,8 +230,8 @@ func RunCluster(b *ClusterBackend, cfg ClusterConfig) (*ClusterReport, error) {
 	return s.report(), nil
 }
 
-// clusterLoop is the cluster scheduler's state.
-type clusterLoop struct {
+// loop is the serving event loop's state.
+type loop struct {
 	cfg        ClusterConfig
 	backend    *ClusterBackend
 	ledgers    []*gpusim.Allocator
@@ -242,7 +242,7 @@ type clusterLoop struct {
 	now     int64
 	acc     []tenantAcc
 	batches int64
-	slots   slotCounter
+	slots   int // next dispatch-order trace/recorder slot
 	scratch dispatchScratch
 	// front is the request the queue held first: first in dispatch order at
 	// the last dispatch, else the earliest admitted since. Its tenant's home
@@ -273,7 +273,7 @@ type clusterLoop struct {
 }
 
 // run consumes the sorted arrival stream.
-func (s *clusterLoop) run(arrivals []*request) error {
+func (s *loop) run(arrivals []*request) error {
 	next := 0
 	for next < len(arrivals) || s.q.n > 0 {
 		if s.q.n == 0 {
@@ -308,9 +308,10 @@ func (s *clusterLoop) run(arrivals []*request) error {
 	return nil
 }
 
-// admit mirrors the single-device gates: impossible requests shed on quota,
-// full tenant queues shed as backpressure.
-func (s *clusterLoop) admit(r *request) {
+// admit applies the two admission gates: a request that can never fit its
+// tenant's quota (or the smallest replica) is shed immediately; a request
+// arriving at a full tenant queue is shed as backpressure.
+func (s *loop) admit(r *request) {
 	a := &s.acc[r.tenant]
 	a.arrivals++
 	name := s.cfg.Tenants[r.tenant].Name
@@ -341,7 +342,7 @@ func (s *clusterLoop) admit(r *request) {
 // the queue front's home replica if it is one of them, else the one with
 // the fewest dispatches (lowest index on ties). If none is free it returns
 // the earliest-free active replica so the caller can advance the clock.
-func (s *clusterLoop) pickReplica() int {
+func (s *loop) pickReplica() int {
 	earliest := 0
 	for r := 1; r < s.active; r++ {
 		if s.free[r] < s.free[earliest] {
@@ -368,7 +369,7 @@ func (s *clusterLoop) pickReplica() int {
 
 // dispatch forms one continuous batch against replica r's ledger and
 // occupies the replica for its service time.
-func (s *clusterLoop) dispatch(r int) error {
+func (s *loop) dispatch(r int) error {
 	batch := s.q.selectBatch(s.now, s.ledgers[r])
 	if len(batch) == 0 {
 		// Unreachable: admission caps needBytes at the smallest replica and
@@ -377,14 +378,23 @@ func (s *clusterLoop) dispatch(r int) error {
 	}
 	s.front = s.q.front(s.now)
 
-	base := s.slots.take(len(batch))
+	// Slot base+i is the batch's i-th request, for both the tracer sample
+	// index and ObserveSample.
+	base := s.slots
+	s.slots += len(batch)
+	// Only a shared-clock tracer places spans at the dispatch time; the
+	// serial layout lays each sample from its own origin.
+	var clockBase int64
+	if s.cfg.Tracer.AbsoluteTime() {
+		clockBase = s.now
+	}
 	eng := s.backend.Engines[r]
 	results, err := eng.RunBatch(s.scratch.examples(batch), core.EpochOptions{
 		Workers:     s.cfg.Workers,
 		Recorder:    s.rec,
 		Tracer:      s.cfg.Tracer,
 		TraceBase:   base,
-		ClockBaseNS: s.now,
+		ClockBaseNS: clockBase,
 		Pilots:      s.scratch.pilotsFor(batch, s.learner),
 	})
 	for _, req := range batch {
@@ -423,9 +433,6 @@ func (s *clusterLoop) dispatch(r int) error {
 		tr.ObservePhase(PhaseQueue, waitNS)
 		tr.ObservePhase(PhaseE2E, e2e)
 		tr.ObserveSample(req.seq, results[i].Mispredicted, results[i].CacheHit, e2e)
-		// The batch's engine spans sit at ClockBaseNS = now; the queue wait
-		// precedes them (build the tracer with WithAbsoluteTime — replicas
-		// genuinely overlap on the cluster clock).
 		annotateRequestTrace(s.cfg.Tracer, base+i, req, name, r, waitNS)
 		recordCompletion(s.flights[r], done, req, name, e2e, results[i].FaultCounters)
 		s.observeWait(waitNS)
@@ -437,13 +444,16 @@ func (s *clusterLoop) dispatch(r int) error {
 	return nil
 }
 
-// learn mirrors the single-device loop's feedback step on the cluster's host
-// timeline: outcomes feed the learner in dispatch-processing order (the
-// run's deterministic serial order), and a retrain stall advances the host
-// clock — the replicas keep computing, but no new batch dispatches until the
-// refit finishes — crediting every queued request's pilot_retrain component
-// through the cumulative stall.
-func (s *clusterLoop) learn(batch []*request, results []core.SampleResult) error {
+// learn feeds the just-dispatched batch's outcomes to the online learner in
+// batch order (the run's deterministic serial order) and charges any retrain
+// stall to the host timeline: the clock advances past the stall, so no new
+// batch dispatches until the refit finishes, while the in-flight batch keeps
+// computing on its replica. Every request still queued is credited the stall
+// in its pilot_retrain attribution component through the cumulative stall its
+// admission mark is measured against. (Requests arriving mid-stall see it as
+// queue time — the decomposition stays exact either way.) No-op without a
+// learner.
+func (s *loop) learn(batch []*request, results []core.SampleResult) error {
 	if s.learner == nil {
 		return nil
 	}
@@ -461,7 +471,7 @@ func (s *clusterLoop) learn(batch []*request, results []core.SampleResult) error
 }
 
 // observeWait feeds the elastic scaler's dispatch-wait window.
-func (s *clusterLoop) observeWait(waitNS int64) {
+func (s *loop) observeWait(waitNS int64) {
 	if s.cfg.ScaleUpQueueNS <= 0 {
 		return
 	}
@@ -474,7 +484,7 @@ func (s *clusterLoop) observeWait(waitNS int64) {
 // scaleUp activates one more replica when the windowed mean queue wait shows
 // sustained pressure. The window resets on activation, so one burst can't
 // cascade straight to full width.
-func (s *clusterLoop) scaleUp() {
+func (s *loop) scaleUp() {
 	if s.cfg.ScaleUpQueueNS <= 0 || s.active >= len(s.free) || len(s.waits) < s.scaleWindow {
 		return
 	}
@@ -502,7 +512,7 @@ func (s *clusterLoop) scaleUp() {
 // scaleDown retires idle replicas beyond the floor, highest index first.
 // Only a replica whose last batch finished ScaleDownIdleNS ago goes away,
 // so nothing in flight is ever dropped.
-func (s *clusterLoop) scaleDown() {
+func (s *loop) scaleDown() {
 	if s.cfg.ScaleUpQueueNS <= 0 || s.cfg.ScaleDownIdleNS <= 0 {
 		return
 	}
@@ -520,30 +530,14 @@ func (s *clusterLoop) scaleDown() {
 	}
 }
 
-// report assembles the cluster summary: the shared serving report over
-// max-of-ledgers high-waters, plus placement, per-replica, and scaling views.
-func (s *clusterLoop) report() *ClusterReport {
-	var highWater int64
-	for _, l := range s.ledgers {
-		if hw := l.HighWater(); hw > highWater {
-			highWater = hw
-		}
-	}
-	ownerPeak := func(name string) int64 {
-		var peak int64
-		for _, l := range s.ledgers {
-			if hw := l.OwnerHighWater(name); hw > peak {
-				peak = hw
-			}
-		}
-		return peak
-	}
+// report assembles the cluster summary: the serving report plus placement,
+// per-replica, and scaling views.
+func (s *loop) report() *ClusterReport {
 	rep := &ClusterReport{
-		Report:      *buildReport(s.cfg.Tenants, s.acc, s.tenantRecs, s.rec, s.batches, s.makespanNS, highWater, ownerPeak, s.learner.Stats()),
+		Report:      s.serveReport(),
 		ScaleEvents: s.events,
 		PeakActive:  s.peakActive,
 	}
-	rep.Flights = collectFlights(s.flights, s.makespanNS)
 	for t, tc := range s.cfg.Tenants {
 		rep.Placements = append(rep.Placements, Placement{
 			Tenant: tc.Name, Home: s.homes[t],

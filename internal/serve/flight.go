@@ -8,10 +8,6 @@ import (
 	"dynnoffload/internal/obsv"
 )
 
-// Flight-recorder wiring shared by the single-device and cluster loops: the
-// same lifecycle events, recorded at the same simulated times, so a replica's
-// recording reads identically whichever scheduler produced it.
-
 // FlightError carries the flight-recorder snapshots taken when a serving run
 // aborts (engine capacity exhaustion mid-batch), so post-mortems survive the
 // missing report. Unwrap exposes the underlying cause for errors.Is/As.

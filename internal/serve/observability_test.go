@@ -224,3 +224,39 @@ func TestClusterObservabilityDeterminism(t *testing.T) {
 		}
 	}
 }
+
+// TestSerialTraceEnvelopesWithinLatency: under the serial-equivalent tracer
+// layout each sample starts at its own origin, so its envelope (queue wait
+// plus engine spans) can never outlast the request's end-to-end latency. The
+// dispatch time must not leak into the sample's offsets at any replica count.
+func TestSerialTraceEnvelopesWithinLatency(t *testing.T) {
+	b := testServeBench(t)
+	for _, replicas := range []int{1, 2} {
+		cfg := ClusterConfig{Config: twoTenants(b, 4000, 15)}
+		cfg.Tracer = obsv.NewTracer()
+		rep, err := RunCluster(b.clusterBackend(replicas, core.DefaultConfig(b.plat)), cfg)
+		if err != nil {
+			t.Fatalf("replicas=%d: %v", replicas, err)
+		}
+		if rep.Total.Attribution == nil {
+			t.Fatalf("replicas=%d: nothing completed", replicas)
+		}
+		// Attribution sums exactly to the e2e latencies.
+		e2eSum := rep.Total.Attribution.All.TotalNS()
+		var envSum int64
+		var samples int
+		for _, sp := range cfg.Tracer.Spans() {
+			if sp.Kind == obsv.SpanSample {
+				envSum += sp.DurNS
+				samples++
+			}
+		}
+		if samples != int(rep.Total.Completed) {
+			t.Fatalf("replicas=%d: %d sample envelopes for %d completions", replicas, samples, rep.Total.Completed)
+		}
+		if envSum > e2eSum {
+			t.Errorf("replicas=%d: sample envelopes sum to %dns, above the %dns e2e latency sum",
+				replicas, envSum, e2eSum)
+		}
+	}
+}

@@ -8,8 +8,8 @@ import (
 	"dynnoffload/internal/pilot"
 )
 
-// queue is the admitted-but-unserved request index both serving loops
-// dispatch from. Dispatch order (before) puts starving requests — queued
+// queue is the admitted-but-unserved request index the serving loop
+// dispatches from. Dispatch order (before) puts starving requests — queued
 // longer than starveAge — first, oldest first, then the rest by earliest
 // deadline, ties broken by arrival, tenant and per-tenant sequence.
 //
@@ -52,7 +52,7 @@ type queue struct {
 	bound []int64
 	n     int // queued requests
 	// batch is the dispatch buffer selectBatch fills, reused across
-	// dispatches: the loops are done with a batch before the next one.
+	// dispatches: the loop is done with a batch before the next one.
 	batch []*request
 }
 
@@ -131,9 +131,8 @@ func (q *queue) before(a, b *request, now int64) bool {
 // request whose memory reserves on ledger against its tenant quota joins and
 // leaves the queue, up to maxBatch; after the anchor only requests of its
 // model context qualify. Refused candidates start their quota wait. The
-// caller owns the reservations and releases them with Free. Shared by the
-// single-device loop and the cluster scheduler (which passes the chosen
-// replica's ledger).
+// caller owns the reservations and releases them with Free; ledger is the
+// chosen replica's.
 func (q *queue) selectBatch(now int64, ledger *gpusim.Allocator) []*request {
 	batch := q.batch[:0]
 	for t := range q.bound {

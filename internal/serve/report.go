@@ -71,34 +71,29 @@ func exactQuantile(sorted []int64, q float64) int64 {
 	return sorted[idx]
 }
 
-// report assembles the run's summaries from the single-device loop's state.
-func (s *loop) report() *Report {
-	rep := buildReport(s.cfg.Tenants, s.acc, s.tenantRecs, s.rec,
-		s.batches, s.now, s.ledger.HighWater(), s.ledger.OwnerHighWater,
-		s.learner.Stats())
-	rep.Flights = collectFlights([]*obsv.FlightRecorder{s.flight}, s.now)
-	return rep
-}
-
-// buildReport folds the per-tenant accumulators into the serving report and
-// attaches the stats to the live recorders. ownerPeak reports one tenant's
-// reservation high-water; the cluster scheduler passes a max across its
-// replica ledgers, the single-device loop its one ledger's method.
-func buildReport(tenants []TenantConfig, acc []tenantAcc, tenantRecs []*obsv.Recorder, rec *obsv.Recorder, batches, makespanNS, highWater int64, ownerPeak func(string) int64, online *obsv.OnlineStats) *Report {
-	rep := &Report{MakespanNS: makespanNS, DeviceHighWater: highWater}
+// serveReport folds the per-tenant accumulators into the serving report,
+// attaches the stats to the live recorders, and finalizes the flight
+// recorders. Reservation high-waters are maxima across the replica ledgers.
+func (s *loop) serveReport() Report {
+	rep := Report{MakespanNS: s.makespanNS}
+	for _, l := range s.ledgers {
+		rep.DeviceHighWater = max(rep.DeviceHighWater, l.HighWater())
+	}
 	var allLat []int64
 	var allAttribs []obsv.AttributionComponents
 	var queueSum int64
-	for t, tc := range tenants {
-		a := &acc[t]
+	for t, tc := range s.cfg.Tenants {
+		a := &s.acc[t]
 		sorted := append([]int64(nil), a.latencies...)
 		sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
 		st := reduce(a, sorted)
 		st.Tenant = tc.Name
 		st.SLONS = tc.SLONS
 		st.QuotaBytes = tc.QuotaBytes
-		st.QuotaPeakBytes = ownerPeak(tc.Name)
-		tenantRecs[t].SetServe(st)
+		for _, l := range s.ledgers {
+			st.QuotaPeakBytes = max(st.QuotaPeakBytes, l.OwnerHighWater(tc.Name))
+		}
+		s.tenantRecs[t].SetServe(st)
 		rep.Tenants = append(rep.Tenants, TenantReport{Name: tc.Name, Stats: st})
 		allLat = append(allLat, a.latencies...)
 		allAttribs = append(allAttribs, a.attribs...)
@@ -124,13 +119,14 @@ func buildReport(tenants []TenantConfig, acc []tenantAcc, tenantRecs []*obsv.Rec
 		rep.Total.MaxNS = allLat[n-1]
 		rep.Total.Attribution = foldAttribution(allAttribs, rep.Total.P99NS)
 	}
-	rep.Total.Batches = batches
-	rep.Total.QuotaPeakBytes = highWater
-	rep.Total.Online = online
-	if batches > 0 {
-		rep.MeanBatchSize = float64(rep.Total.Completed) / float64(batches)
+	rep.Total.Batches = s.batches
+	rep.Total.QuotaPeakBytes = rep.DeviceHighWater
+	rep.Total.Online = s.learner.Stats()
+	if s.batches > 0 {
+		rep.MeanBatchSize = float64(rep.Total.Completed) / float64(s.batches)
 	}
-	rec.SetServe(rep.Total)
+	s.rec.SetServe(rep.Total)
+	rep.Flights = collectFlights(s.flights, s.makespanNS)
 	return rep
 }
 

@@ -2,7 +2,14 @@
 // engine: an online request stream on the simulated clock, per-tenant
 // admission control backed by the allocator's reservation/quota layer,
 // an SLO-aware (earliest-deadline-first) scheduler with a starvation guard,
-// and continuous batching dispatched through core.RunBatch.
+// and continuous batching dispatched through core.RunBatch onto one or more
+// GPU replicas.
+//
+// One event loop serves every configuration: RunCluster drives it over a
+// replica pool, and Run is RunCluster over a single replica with no elastic
+// scaling. With online learning on, each batch's outcomes feed the learner
+// when the batch dispatches; a retrain stall delays the next dispatch while
+// the in-flight batch keeps computing.
 //
 // Everything runs on simulated nanoseconds and seeded randomness, so the
 // serving layer inherits the runtime's determinism contract: identical
@@ -20,14 +27,13 @@ import (
 	"sort"
 
 	"dynnoffload/internal/core"
-	"dynnoffload/internal/gpusim"
 	"dynnoffload/internal/mathx"
 	"dynnoffload/internal/obsv"
 	"dynnoffload/internal/online"
 	"dynnoffload/internal/pilot"
 )
 
-// Defaults applied by Run when the corresponding config field is zero.
+// Defaults applied when the corresponding config field is zero.
 const (
 	// DefaultMaxBatch bounds how many requests fuse into one dispatch.
 	DefaultMaxBatch = 8
@@ -150,231 +156,17 @@ type Report struct {
 	Flights []obsv.FlightSnapshot
 }
 
-// Run plays cfg's request streams against the backend and returns the
-// serving report. The loop advances a single virtual clock: admit every
-// arrival up to now (shedding on full queues and impossible quotas), form
-// one continuous batch under EDF with the starvation guard, reserve each
-// member's memory against its tenant quota, dispatch through core.RunBatch,
-// then release the reservations and advance the clock past the batch.
+// Run plays cfg's request streams against the backend's one device and
+// returns the serving report: a one-replica, no-scaling RunCluster.
 func Run(b *Backend, cfg Config) (*Report, error) {
-	if len(cfg.Tenants) == 0 {
-		return nil, ErrNoTenants
+	if b == nil {
+		b = &Backend{}
 	}
-	if b == nil || b.Engine == nil || len(b.Pool) == 0 {
-		return nil, errors.New("serve: backend needs an engine and a non-empty pool")
-	}
-	maxBatch := cfg.MaxBatch
-	if maxBatch <= 0 {
-		maxBatch = DefaultMaxBatch
-	}
-	starveAge := cfg.StarvationAgeNS
-	if starveAge == 0 {
-		var maxSLO int64
-		for _, tc := range cfg.Tenants {
-			if tc.SLONS > maxSLO {
-				maxSLO = tc.SLONS
-			}
-		}
-		starveAge = 4 * maxSLO
-	}
-	if starveAge <= 0 {
-		starveAge = math.MaxInt64
-	}
-
-	gpuMem := b.GPUMemBytes
-	if gpuMem <= 0 {
-		gpuMem = b.Engine.Cfg.Platform.GPU.MemBytes
-	}
-	ledger := gpusim.NewAllocator(gpuMem)
-	for _, tc := range cfg.Tenants {
-		ledger.SetQuota(tc.Name, tc.QuotaBytes)
-	}
-
-	arrivals, err := generate(cfg, b.Pool, gpuMem)
+	rep, err := RunCluster(&ClusterBackend{Engines: []*core.Engine{b.Engine}, Pool: b.Pool, GPUMemBytes: b.GPUMemBytes}, ClusterConfig{Config: cfg})
 	if err != nil {
 		return nil, err
 	}
-
-	rec := obsv.NewRecorder("serve", cfg.Workers, nil)
-	cfg.Registry.Register(rec)
-	tenantRecs := make([]*obsv.Recorder, len(cfg.Tenants))
-	for t, tc := range cfg.Tenants {
-		tenantRecs[t] = obsv.NewRecorder("serve/"+tc.Name, cfg.Workers, nil)
-		cfg.Registry.Register(tenantRecs[t])
-	}
-
-	var learner *online.Learner
-	if cfg.Online.Enabled {
-		learner, err = online.New(cfg.Online, b.Engine.Pilot, len(cfg.Tenants))
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	s := &loop{
-		cfg: cfg, backend: b, ledger: ledger,
-		q:   newQueue(arrivals, cfg.Tenants, starveAge, maxBatch),
-		rec: rec, tenantRecs: tenantRecs,
-		acc:     make([]tenantAcc, len(cfg.Tenants)),
-		flight:  obsv.NewFlightRecorder(0, cfg.Flight),
-		learner: learner,
-	}
-	for t := range s.acc {
-		mq := cfg.Tenants[t].MaxQueue
-		if mq <= 0 {
-			mq = DefaultMaxQueue
-		}
-		s.acc[t].maxQueue = mq
-	}
-	if err := s.run(arrivals); err != nil {
-		return nil, wrapFlightError(err, []*obsv.FlightRecorder{s.flight})
-	}
-	return s.report(), nil
-}
-
-// loop is the serving event loop's state.
-type loop struct {
-	cfg        Config
-	backend    *Backend
-	ledger     *gpusim.Allocator
-	q          *queue
-	rec        *obsv.Recorder
-	tenantRecs []*obsv.Recorder
-
-	now     int64
-	acc     []tenantAcc
-	batches int64
-	slots   slotCounter // dispatch-order trace/recorder index counter
-	flight  *obsv.FlightRecorder
-	scratch dispatchScratch
-	// learner is the online feedback loop; nil when Config.Online is off.
-	learner *online.Learner
-	// retrainNS is the cumulative retrain stall charged to the host
-	// timeline (see request.retrainMarkNS).
-	retrainNS int64
-}
-
-// run consumes the sorted arrival stream.
-func (s *loop) run(arrivals []*request) error {
-	next := 0
-	for next < len(arrivals) || s.q.n > 0 {
-		if s.q.n == 0 {
-			// Idle: jump to the next arrival.
-			if s.now < arrivals[next].arrivalNS {
-				s.now = arrivals[next].arrivalNS
-			}
-		}
-		for next < len(arrivals) && arrivals[next].arrivalNS <= s.now {
-			s.admit(arrivals[next])
-			next++
-		}
-		if s.q.n == 0 {
-			continue
-		}
-		if err := s.dispatch(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// admit applies the two admission gates: a request that can never fit its
-// tenant's quota (or the device) is shed immediately; a request arriving at
-// a full tenant queue is shed as backpressure.
-func (s *loop) admit(r *request) {
-	a := &s.acc[r.tenant]
-	a.arrivals++
-	name := s.cfg.Tenants[r.tenant].Name
-	quota := s.cfg.Tenants[r.tenant].QuotaBytes
-	if (quota > 0 && r.needBytes > quota) || r.needBytes > s.ledger.Capacity {
-		a.quotaShed++
-		recordAdmission(s.flight, obsv.FlightQuotaShed, r, name)
-		return
-	}
-	if a.inQueue >= a.maxQueue {
-		a.shed++
-		recordAdmission(s.flight, obsv.FlightShed, r, name)
-		return
-	}
-	a.inQueue++
-	r.retrainMarkNS = s.retrainNS
-	s.q.push(r)
-	recordAdmission(s.flight, obsv.FlightAdmit, r, name)
-}
-
-// dispatch forms one continuous batch from the queue and runs it.
-func (s *loop) dispatch() error {
-	batch := s.q.selectBatch(s.now, s.ledger)
-	if len(batch) == 0 {
-		// Unreachable with admission capping needBytes at device capacity
-		// (the ledger is empty between batches), but fail loudly rather
-		// than spin.
-		return fmt.Errorf("serve: no request schedulable at t=%dns with %d queued", s.now, s.q.n)
-	}
-
-	base := s.slots.take(len(batch))
-	results, err := s.backend.Engine.RunBatch(s.scratch.examples(batch), core.EpochOptions{
-		Workers:   s.cfg.Workers,
-		Recorder:  s.rec,
-		Tracer:    s.cfg.Tracer,
-		TraceBase: base,
-		Pilots:    s.scratch.pilotsFor(batch, s.learner),
-	})
-	for _, r := range batch {
-		s.ledger.Free(r.id)
-	}
-	if err != nil {
-		recordBatchError(s.flight, s.now, err)
-		return fmt.Errorf("serve: batch at t=%dns: %w", s.now, err)
-	}
-
-	serviceNS := s.scratch.serviceTime(s.backend.Engine, batch, results)
-	done := s.now + serviceNS
-	s.batches++
-	s.rec.ObservePhase(PhaseService, serviceNS)
-	recordDispatch(s.flight, s.now, len(batch), serviceNS)
-
-	for i, r := range batch {
-		a := &s.acc[r.tenant]
-		a.inQueue--
-		name := s.cfg.Tenants[r.tenant].Name
-		waitNS := s.now - r.arrivalNS
-		e2e := done - r.arrivalNS
-		a.complete(e2e, waitNS, r.deadlineNS < done,
-			attribution(waitNS, r.quotaNS, s.retrainNS-r.retrainMarkNS, serviceNS, results[i].Breakdown))
-		tr := s.tenantRecs[r.tenant]
-		tr.ObservePhase(PhaseQueue, waitNS)
-		tr.ObservePhase(PhaseE2E, e2e)
-		tr.ObserveSample(r.seq, results[i].Mispredicted, results[i].CacheHit, e2e)
-		annotateRequestTrace(s.cfg.Tracer, base+i, r, name, 0, waitNS)
-		recordCompletion(s.flight, done, r, name, e2e, results[i].FaultCounters)
-	}
-	s.now = done
-	return s.learn(batch, results)
-}
-
-// learn feeds the completed batch's outcomes to the online learner in
-// completion order and charges any retrain stall to the host timeline: the
-// clock advances past the stall and every currently queued request is
-// credited the stall time in its pilot_retrain attribution component, by
-// advancing the cumulative stall its admission mark is measured against.
-// (Requests arriving mid-stall simply see it as queue time — the
-// decomposition stays exact either way.) No-op without a learner.
-func (s *loop) learn(batch []*request, results []core.SampleResult) error {
-	if s.learner == nil {
-		return nil
-	}
-	var stallNS int64
-	for i, r := range batch {
-		ns, err := s.learner.Observe(r.tenant, r.ex, results[i].Mispredicted)
-		if err != nil {
-			return fmt.Errorf("serve: online retrain at t=%dns: %w", s.now, err)
-		}
-		stallNS += ns
-	}
-	s.now += stallNS
-	s.retrainNS += stallNS
-	return nil
+	return &rep.Report, nil
 }
 
 // Phase names observed on the serving recorders (simulated nanoseconds, not

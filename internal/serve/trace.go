@@ -2,33 +2,17 @@ package serve
 
 import "dynnoffload/internal/obsv"
 
-// Trace slot assignment and per-request trace annotation, shared by the
-// single-device and cluster event loops so the two paths cannot drift: both
-// hand RunBatch a TraceBase from the same counter and annotate completed
-// requests through the same helper.
-
-// slotCounter assigns contiguous dispatch-order trace/recorder slots. Every
-// batch takes len(batch) slots; slot base+i belongs to the batch's i-th
-// request for both the Tracer sample index and ObserveSample.
-type slotCounter int
-
-// take reserves n slots and returns the base index of the reservation.
-func (c *slotCounter) take(n int) int {
-	base := int(*c)
-	*c += slotCounter(n)
-	return base
-}
-
 // annotateRequestTrace tags a dispatched request's engine trace (registered
 // by RunBatch at the given slot) with its causal identity — request id,
 // tenant, replica — and lays its queue-wait span. Nil-safe throughout: with
 // tracing off it is a no-op.
 //
 // The queue span's placement depends on the tracer's clock layout:
-//   - Absolute (cluster; WithAbsoluteTime): the engine spans already sit at
-//     the dispatch time via ClockBaseNS, so the wait lands just before them,
-//     starting at the request's arrival on the shared cluster clock.
-//   - Serial-equivalent (single device): each sample's spans start at its own
+//   - Absolute (WithAbsoluteTime): the engine spans already sit at the
+//     dispatch time via ClockBaseNS, so the wait lands just before them,
+//     starting at the request's arrival on the shared clock. Replicas
+//     genuinely overlap on it.
+//   - Serial-equivalent (the default): each sample's spans start at its own
 //     t=0, so the engine spans shift past the wait and the queue span sits at
 //     the origin (queue spans then always start at >= 0).
 func annotateRequestTrace(tr *obsv.Tracer, slot int, r *request, tenant string, replica int, waitNS int64) {

@@ -70,3 +70,57 @@ func TestSystemServeNeedsPilot(t *testing.T) {
 		t.Errorf("err = %v, want ErrPilotNotTrained", err)
 	}
 }
+
+// TestSystemServeMatchesOneGPUCluster pins facade agreement: System.Serve and
+// a one-GPU Cluster.Serve run the same serving loop over the same engine
+// configuration, so their reports are identical, fault-free and faulted,
+// with online learning off and on.
+func TestSystemServeMatchesOneGPUCluster(t *testing.T) {
+	model := NewTreeLSTM(TreeLSTMConfig{Levels: 4, Hidden: 64, SeqLen: 8, Batch: 4, Seed: 1})
+	learn := OnlineConfig{
+		Enabled: true, TrainingInterval: 4, MinibatchSize: 8, WindowSize: 10,
+		PerTenant: true, AdapterMinExamples: 6, Seed: 17,
+	}
+	corpus := GenerateSamples(5, 460, 8, 32)
+	for _, fc := range []FaultConfig{{}, {Seed: 41, Rate: 0.25}} {
+		c, err := NewCluster(model, WithGPUs(1), WithSystemOptions(
+			WithPlatform(RTXPlatform()),
+			WithMemoryPressure(0.5),
+			WithPilotConfig(PilotConfig{Neurons: 48, Epochs: 6, Seed: 3}),
+			WithFaultInjection(fc),
+		))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.TrainPilot(corpus[:400]); err != nil {
+			t.Fatal(err)
+		}
+		half := c.System().Platform().GPU.MemBytes / 2
+		for _, oc := range []OnlineConfig{{}, learn} {
+			cfg := ServeConfig{
+				Tenants: []ServeTenant{
+					{Name: "alpha", Requests: 40, RatePerSec: 4000, Seed: 11, QuotaBytes: half, SLONS: 5e7},
+					{Name: "beta", Requests: 40, RatePerSec: 4000, Seed: 23, QuotaBytes: half, SLONS: 5e7},
+				},
+				Workers: 2,
+				Flight:  FlightConfig{Events: 256},
+				Online:  oc,
+			}
+			single, err := c.System().Serve(corpus[400:], cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cluster, err := c.Serve(corpus[400:], ClusterConfig{Config: cfg})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(*single, cluster.Report) {
+				t.Errorf("faults=%v online=%v: System.Serve and 1-GPU Cluster.Serve diverged:\nsystem  %+v\ncluster %+v",
+					fc.Rate, oc.Enabled, single.Total, cluster.Total)
+			}
+			if oc.Enabled && single.Total.Online.Retrains == 0 {
+				t.Errorf("faults=%v: online run fired no retrains", fc.Rate)
+			}
+		}
+	}
+}
