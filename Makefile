@@ -49,14 +49,16 @@ benchcheck:
 	$(GO) run ./cmd/dynnbench -benchjson bench-current.json \
 		-benchbaseline $(BENCH_BASELINE) -benchregress $(BENCH_REGRESS)
 
-# Native Go fuzzing of graph resolution and the Sentinel partitioner. Each
-# -fuzz pattern needs its own go test invocation; seed corpora live under the
-# packages' testdata/fuzz/. CI runs this with a short FUZZTIME as a smoke
-# pass; raise it locally to dig (e.g. make fuzz FUZZTIME=10m).
+# Native Go fuzzing of graph resolution, the Sentinel partitioner, plan-key
+# signatures, and the fault-spec parser. Each -fuzz pattern needs its own go
+# test invocation; seed corpora live under the packages' testdata/fuzz/. CI
+# runs this with a short FUZZTIME as a smoke pass; raise it locally to dig
+# (e.g. make fuzz FUZZTIME=10m).
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzResolve$$' -fuzztime $(FUZZTIME) ./internal/dynn
 	$(GO) test -run '^$$' -fuzz '^FuzzPartition$$' -fuzztime $(FUZZTIME) ./internal/sentinel
 	$(GO) test -run '^$$' -fuzz '^FuzzPlanSignature$$' -fuzztime $(FUZZTIME) ./internal/graph
+	$(GO) test -run '^$$' -fuzz '^FuzzParseSpec$$' -fuzztime $(FUZZTIME) ./internal/faults
 
 # Coverage gate over the internal packages: fails below COVER_MIN% total.
 # Leaves coverage.out behind for inspection / CI artifact upload.

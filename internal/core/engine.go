@@ -71,12 +71,6 @@ type Config struct {
 	// plans when path signature, context fingerprint, and GPU capacity
 	// match. Each engine always keeps its own pointer-keyed L1 regardless.
 	Plans *PlanCache
-	// NoPlanCache disables plan compilation entirely: every sample re-walks
-	// the analysis exactly as the pre-plan runtime did. Plans are pure
-	// functions of their inputs, so this changes no result — it exists so
-	// the equivalence property tests have a reference path to compare
-	// against (and as an escape hatch).
-	NoPlanCache bool
 }
 
 // RetryPolicy bounds retry-with-exponential-backoff: a faulted operation is
@@ -287,14 +281,11 @@ func (e *Engine) faultStream(ex *pilot.Example) *faults.Stream {
 // trace collector). The error is non-nil only when the degradation ladder is
 // genuinely stuck (ErrCapacityExceeded) — never in fault-free runs.
 func (e *Engine) simulate(d decision, fs *faults.Stream, st *obsv.SampleTrace) (gpusim.Breakdown, error) {
-	var plan *ResolvedPlan
-	if !e.Cfg.NoPlanCache {
-		plan = e.planFor(d.truth)
-	}
+	plan := e.planFor(d.truth)
 	if d.mispredicted || e.Cfg.ForceOnDemand {
-		return e.simulateOnDemand(d.truth.Analysis, d.truth.Blocks, plan, fs, st), nil
+		return e.simulateOnDemand(plan, fs, st), nil
 	}
-	return e.simulatePipelined(d.truth.Analysis, d.truth.Blocks, plan, fs, st)
+	return e.simulatePipelined(plan, fs, st)
 }
 
 // RunSample simulates one training iteration: pilot inference, output→path

@@ -37,29 +37,29 @@ type ResolvedPlan struct {
 	// Plan is the per-block query table (read-only, shared).
 	Plan *sentinel.BlockPlan
 	// PipelinedPeakBytes is the fault-free double-buffer residency peak at
-	// CapacityBytes, obtained by replaying the pipelined residency schedule
-	// once against a real MemPool at plan-build time. It is capacity-
-	// dependent (a full pool silently rejects adds on the fault-free path),
-	// which is why plans are keyed per GPU capacity.
+	// the GPU capacity the plan was built for, obtained by replaying the
+	// pipelined residency schedule once against a real MemPool at plan-build
+	// time. It is capacity-dependent (a full pool silently rejects adds on
+	// the fault-free path), which is why plans are keyed per GPU capacity.
 	PipelinedPeakBytes int64
-	// CapacityBytes is the GPU capacity the peak was replayed at.
-	CapacityBytes int64
 }
 
 // buildResolvedPlan compiles a plan for one (analysis, partition) pair at a
 // GPU capacity.
 func buildResolvedPlan(an *sentinel.Analysis, blocks []sentinel.Block, capacity int64) *ResolvedPlan {
 	bp := sentinel.NewBlockPlan(an, blocks)
-	rp := &ResolvedPlan{Plan: bp, CapacityBytes: capacity}
+	rp := &ResolvedPlan{Plan: bp}
 	if bp.PeakResidentBytes > capacity {
 		rp.PipelinedPeakBytes = replayPipelinedPeak(bp, capacity)
 	}
 	return rp
 }
 
-// replayPipelinedPeak reproduces simulatePipelined's fault-free residency
-// schedule — add block 0's working set, then per block retire i-1 and admit
-// i+1, with over-capacity adds silently skipped — and returns the pool peak.
+// replayPipelinedPeak replays the residency schedule of simulatePipelined
+// without faults — add block 0's working set, then per block retire i-1 and
+// admit i+1, with over-capacity adds silently skipped — and returns the pool
+// peak. simulatePipelined materializes residency only under injection, so
+// this replay is where its fault-free peak comes from.
 func replayPipelinedPeak(bp *sentinel.BlockPlan, capacity int64) int64 {
 	pool := gpusim.AcquireMemPool(capacity)
 	add := func(i int) {

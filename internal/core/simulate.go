@@ -50,8 +50,8 @@ func (e *Engine) xfer(s *gpusim.Streams, lane gpusim.Lane, fs *faults.Stream, re
 //   - when the operator counter observes block i starting, the migration
 //     engine first evicts block i-1's write-back set, then prefetches block
 //     i+1 (evict-then-prefetch, serialized to avoid fragmentation);
-//   - residency is materialized in a MemPool so the peak footprint and the
-//     double-buffer invariant are measured, not assumed.
+//   - every byte count comes from the compiled plan (ResolvedPlan), so a
+//     sample pays no liveness walk, map allocation, or MemPool construction.
 //
 // With a fault stream attached, every transfer may stall or abort (recovered
 // by xfer's retry ladder), every allocation may transiently fail (recovered
@@ -60,28 +60,28 @@ func (e *Engine) xfer(s *gpusim.Streams, lane gpusim.Lane, fs *faults.Stream, re
 // the tensor-fault handler round trip. Faults perturb timing and traffic
 // only; the returned error is non-nil solely when eviction cannot free
 // enough space (genuine capacity exhaustion).
-// With a non-nil plan the same schedule executes from the compiled block
-// tables instead (simulatePipelinedPlan); plan == nil is the reference path,
-// kept verbatim so Config.NoPlanCache runs exactly the pre-plan arithmetic.
-func (e *Engine) simulatePipelined(an *sentinel.Analysis, blocks []sentinel.Block, plan *ResolvedPlan, fs *faults.Stream, st *obsv.SampleTrace) (gpusim.Breakdown, error) {
-	if plan != nil {
-		return e.simulatePipelinedPlan(plan, fs, st)
-	}
+//
+// Residency is materialized in a MemPool only under injection, where
+// evict-and-retry genuinely mutates it; fault-free, the double-buffer peak
+// was replayed once at plan build (ResolvedPlan.PipelinedPeakBytes).
+func (e *Engine) simulatePipelined(rp *ResolvedPlan, fs *faults.Stream, st *obsv.SampleTrace) (gpusim.Breakdown, error) {
+	plan := rp.Plan
 	var bd gpusim.Breakdown
-	if len(blocks) == 0 {
+	n := plan.NumBlocks()
+	if n == 0 {
 		return bd, nil
 	}
 
 	// Fast path: the liveness peak fits on the GPU — no offloading needed;
 	// tensors migrate in once (first iteration) and stay. No migrations means
 	// nothing to inject against.
-	if an.PeakResidentBytes() <= e.Cfg.Platform.GPU.MemBytes {
-		bd.ComputeNS = an.TotalComputeNS()
-		bd.PeakGPUBytes = an.PeakResidentBytes()
+	if plan.PeakResidentBytes <= e.Cfg.Platform.GPU.MemBytes {
+		bd.ComputeNS = plan.TotalComputeNS
+		bd.PeakGPUBytes = plan.PeakResidentBytes
 		if st != nil {
 			var cursor int64
-			for i := range blocks {
-				c := an.ComputeNS(blocks[i])
+			for i := 0; i < n; i++ {
+				c := plan.ComputeNS[i]
 				st.Span(obsv.SpanCompute, obsv.LaneCompute, i, cursor, c, 0)
 				cursor += c
 			}
@@ -89,20 +89,31 @@ func (e *Engine) simulatePipelined(an *sentinel.Analysis, blocks []sentinel.Bloc
 		return bd, nil
 	}
 
-	pool := gpusim.NewMemPool(e.Cfg.Platform.GPU.MemBytes)
-	streams := gpusim.NewStreams(gpusim.WithFaultStream(fs))
-	none := sentinel.Block{}
+	// Fault-free samples need no residency materialization — the peak was
+	// replayed at plan build — so the pool exists only under injection,
+	// where evict-and-retry genuinely mutates residency. The Streams zero
+	// value is the valid fault-free stream set, so it lives on the stack.
+	var laneClocks gpusim.Streams
+	streams := &laneClocks
+	var pool *gpusim.MemPool
+	if fs != nil {
+		streams = gpusim.NewStreams(gpusim.WithFaultStream(fs))
+		pool = gpusim.AcquireMemPool(e.Cfg.Platform.GPU.MemBytes)
+		defer gpusim.ReleaseMemPool(pool)
+	}
 
-	// addAll makes ids resident, consulting the fault stream at each
-	// allocation and climbing the ladder on failure: bounded retries with
-	// exponential backoff, then a fault-blind attempt, then evict-and-retry,
-	// and only when eviction cannot free enough space ErrCapacityExceeded.
-	// Returns the migration clock advanced by backoff waits and eviction
-	// transfers. Fault-free it reduces to the plain residency update with
-	// unchanged timing.
-	addAll := func(ids []int64, ready int64, block int) (int64, error) {
-		for _, id := range ids {
-			bytes := an.BytesOf(id)
+	// addAll makes a block's working set resident, consulting the fault
+	// stream at each allocation and climbing the ladder on failure: bounded
+	// retries with exponential backoff, then a fault-blind attempt, then
+	// evict-and-retry, and only when eviction cannot free enough space
+	// ErrCapacityExceeded. Returns the migration clock advanced by backoff
+	// waits and eviction transfers. Called only under injection: fault-free,
+	// residency changes no clock and its peak is already in the plan.
+	addAll := func(block int, ready int64) (int64, error) {
+		ids := plan.WorkingIDs[block]
+		sizes := plan.WorkingIDBytes[block]
+		for j, id := range ids {
+			bytes := sizes[j]
 			if fs.Alloc() {
 				// Transient allocator pressure: wait it out on the DES clock.
 				backoff := e.Cfg.Retry.BackoffNS
@@ -121,12 +132,6 @@ func (e *Engine) simulatePipelined(an *sentinel.Analysis, blocks []sentinel.Bloc
 			}
 			err := pool.Add(id, bytes)
 			if err == nil {
-				continue
-			}
-			if fs == nil {
-				// Pre-fault semantics: residency accounting only; a full
-				// pool here indicates a partition bug (budget is validated
-				// at partition time), not a runtime error.
 				continue
 			}
 			// Evict-and-retry: write back LRU residents until the tensor
@@ -149,27 +154,29 @@ func (e *Engine) simulatePipelined(an *sentinel.Analysis, blocks []sentinel.Bloc
 		}
 		return ready, nil
 	}
-	dropAll := func(ids []int64) {
-		for _, id := range ids {
+	dropAll := func(block int) {
+		for _, id := range plan.WorkingIDs[block] {
 			pool.Remove(id)
 		}
 	}
 
 	// Initial prefetch of block 0 — inherently synchronous (compute cannot
 	// start without it), so only stalls/aborts apply, not prefetch-drop.
-	fetch0 := an.FetchBytes(blocks[0], none)
+	fetch0 := plan.FetchBytes[0]
 	mig := e.xfer(streams, gpusim.LaneH2D, fs, 0, e.CM.BatchedXferTime(fetch0),
 		st, obsv.SpanPrefetch, 0, fetch0)
 	bd.H2DBytes += fetch0
 	var err error
-	if mig, err = addAll(an.WorkingIDs(blocks[0]), mig, 0); err != nil {
-		return bd, err
+	if fs != nil {
+		if mig, err = addAll(0, mig); err != nil {
+			return bd, err
+		}
 	}
 
 	dropped := false // block i's prefetch was dropped; fetch on demand at start
 	var droppedBytes int64
 	computeEnd := int64(0)
-	for i := range blocks {
+	for i := 0; i < n; i++ {
 		start := mig
 		if computeEnd > start {
 			start = computeEnd
@@ -186,7 +193,7 @@ func (e *Engine) simulatePipelined(an *sentinel.Analysis, blocks []sentinel.Bloc
 			bd.Faults++
 			st.Span(obsv.SpanFault, obsv.LaneHost, i, start, e.Cfg.FaultLatencyNS, 0)
 			fs.NoteOnDemandFallback()
-			if start, err = addAll(an.WorkingIDs(blocks[i]), start, i); err != nil {
+			if start, err = addAll(i, start); err != nil {
 				return bd, err
 			}
 		}
@@ -197,17 +204,19 @@ func (e *Engine) simulatePipelined(an *sentinel.Analysis, blocks []sentinel.Bloc
 		// Operator counter fires at block start: retire block i-1's buffer
 		// (write back live outputs, drop dead tensors), then prefetch block
 		// i+1 into the freed migration buffer.
-		if i+1 < len(blocks) {
+		if i+1 < n {
 			migStart := max64(mig, start)
 			if i > 0 {
-				evict := an.EvictBytes(blocks[i-1], blocks[i+1].Start)
+				evict := plan.PipeEvictBytes[i]
 				migStart = e.xfer(streams, gpusim.LaneD2H, fs, migStart, e.CM.BatchedXferTime(evict),
 					st, obsv.SpanEvict, i-1, evict)
 				bd.D2HBytes += evict
-				dropAll(an.WorkingIDs(blocks[i-1]))
+				if fs != nil {
+					dropAll(i - 1)
+				}
 			}
-			fetch := an.FetchBytes(blocks[i+1], blocks[i])
-			if fs.PrefetchDrop() {
+			fetch := plan.FetchBytes[i+1]
+			if fs != nil && fs.PrefetchDrop() {
 				// The prefetch is silently lost: no fetch charge now, the
 				// block recovers on demand when it starts.
 				dropped, droppedBytes = true, fetch
@@ -217,31 +226,34 @@ func (e *Engine) simulatePipelined(an *sentinel.Analysis, blocks []sentinel.Bloc
 				mig = e.xfer(streams, gpusim.LaneH2D, fs, migStart, e.CM.BatchedXferTime(fetch),
 					st, obsv.SpanPrefetch, i+1, fetch)
 				bd.H2DBytes += fetch
-				if mig, err = addAll(an.WorkingIDs(blocks[i+1]), mig, i+1); err != nil {
-					return bd, err
+				if fs != nil {
+					if mig, err = addAll(i+1, mig); err != nil {
+						return bd, err
+					}
 				}
 			}
 		}
 
-		blockCompute := an.ComputeNS(blocks[i])
+		blockCompute := plan.ComputeNS[i]
 		st.Span(obsv.SpanCompute, obsv.LaneCompute, i, start, blockCompute, 0)
 		bd.ComputeNS += blockCompute
 		computeEnd = start + blockCompute
 	}
 
-	// Trailing write-back of the final block's live outputs (updated weights
-	// and optimizer state streaming home).
-	finalEvict := an.EvictBytes(blocks[len(blocks)-1], an.NumOps())
-	_ = finalEvict // weights remain CPU-resident copies; charged next fetch
+	// The final block's live outputs (updated weights, optimizer state) stay
+	// CPU-resident copies; their write-back is charged by the next fetch.
 	if mig > computeEnd {
 		bd.ExposedXferNS += mig - computeEnd
 	}
-
 	bd.OverlapXferNS = e.CM.BatchedXferTime(bd.H2DBytes+bd.D2HBytes) - bd.ExposedXferNS
 	if bd.OverlapXferNS < 0 {
 		bd.OverlapXferNS = 0
 	}
-	bd.PeakGPUBytes = pool.Peak()
+	if pool != nil {
+		bd.PeakGPUBytes = pool.Peak()
+	} else {
+		bd.PeakGPUBytes = rp.PipelinedPeakBytes
+	}
 	return bd, nil
 }
 
@@ -251,22 +263,21 @@ func (e *Engine) simulatePipelined(an *sentinel.Analysis, blocks []sentinel.Bloc
 // demand"). Injected faults stretch the exposed transfers (stall) or force
 // re-issues with backoff (abort); the path is already fully on-demand, so
 // prefetch-drop and allocation faults have nothing further to degrade.
-func (e *Engine) simulateOnDemand(an *sentinel.Analysis, blocks []sentinel.Block, plan *ResolvedPlan, fs *faults.Stream, st *obsv.SampleTrace) gpusim.Breakdown {
-	if plan != nil {
-		return e.simulateOnDemandPlan(plan.Plan, fs, st)
-	}
+func (e *Engine) simulateOnDemand(rp *ResolvedPlan, fs *faults.Stream, st *obsv.SampleTrace) gpusim.Breakdown {
+	plan := rp.Plan
 	var bd gpusim.Breakdown
-	if an.PeakResidentBytes() <= e.Cfg.Platform.GPU.MemBytes {
+	n := plan.NumBlocks()
+	if plan.PeakResidentBytes <= e.Cfg.Platform.GPU.MemBytes {
 		// Fits on GPU: the wrong prediction costs only the fault round trip.
-		bd.ComputeNS = an.TotalComputeNS()
+		bd.ComputeNS = plan.TotalComputeNS
 		bd.FaultNS = e.Cfg.FaultLatencyNS
 		bd.Faults = 1
-		bd.PeakGPUBytes = an.PeakResidentBytes()
+		bd.PeakGPUBytes = plan.PeakResidentBytes
 		if st != nil {
 			cursor := e.Cfg.FaultLatencyNS
 			st.Span(obsv.SpanFault, obsv.LaneHost, 0, 0, cursor, 0)
-			for i := range blocks {
-				c := an.ComputeNS(blocks[i])
+			for i := 0; i < n; i++ {
+				c := plan.ComputeNS[i]
 				st.Span(obsv.SpanCompute, obsv.LaneCompute, i, cursor, c, 0)
 				cursor += c
 			}
@@ -305,17 +316,15 @@ func (e *Engine) simulateOnDemand(an *sentinel.Analysis, blocks []sentinel.Block
 			backoff *= 2
 		}
 	}
-	none := sentinel.Block{}
-	prev := none
 	var peak int64
-	for i, b := range blocks {
-		fetch := an.FetchBytes(b, prev)
+	for i := 0; i < n; i++ {
+		fetch := plan.FetchBytes[i]
 		bd.H2DBytes += fetch
 		d := xferNS(obsv.SpanOnDemand, obsv.LaneH2D, i, fetch)
 		bd.ExposedXferNS += d
 		cursor += d
 		if i > 0 {
-			evict := an.EvictBytes(blocks[i-1], b.Start)
+			evict := plan.OnDemandEvictBytes[i]
 			bd.D2HBytes += evict
 			d = xferNS(obsv.SpanEvict, obsv.LaneD2H, i-1, evict)
 			bd.ExposedXferNS += d
@@ -325,14 +334,13 @@ func (e *Engine) simulateOnDemand(an *sentinel.Analysis, blocks []sentinel.Block
 		bd.Faults++
 		st.Span(obsv.SpanFault, obsv.LaneHost, i, cursor, e.Cfg.FaultLatencyNS, 0)
 		cursor += e.Cfg.FaultLatencyNS
-		blockCompute := an.ComputeNS(b)
+		blockCompute := plan.ComputeNS[i]
 		st.Span(obsv.SpanCompute, obsv.LaneCompute, i, cursor, blockCompute, 0)
 		cursor += blockCompute
 		bd.ComputeNS += blockCompute
-		if w := an.WorkingBytes(b); w > peak {
+		if w := plan.WorkingBytes[i]; w > peak {
 			peak = w
 		}
-		prev = b
 	}
 	bd.PeakGPUBytes = min64(2*peak, e.Cfg.Platform.GPU.MemBytes)
 	return bd
@@ -361,10 +369,6 @@ func min64(a, b int64) int64 {
 // analysis identity and partition digest), so sweeping iterations over a
 // fixed partition costs one compilation, not one liveness walk per call.
 func (e *Engine) SimulatePartition(an *sentinel.Analysis, blocks []sentinel.Block) gpusim.Breakdown {
-	var plan *ResolvedPlan
-	if !e.Cfg.NoPlanCache {
-		plan = e.partitionPlan(an, blocks)
-	}
-	bd, _ := e.simulatePipelined(an, blocks, plan, nil, nil)
+	bd, _ := e.simulatePipelined(e.partitionPlan(an, blocks), nil, nil)
 	return bd
 }

@@ -27,7 +27,8 @@ type MicroBenchResult struct {
 //     vectors (the per-sample dynamic-architecture instantiation cost);
 //   - des_iteration: Engine.SimulatePartition (the double-buffered
 //     simulatePipelined DES loop) over the model's first path, warm — the
-//     steady-state per-sample cost with the resolved-plan cache serving;
+//     steady-state per-sample cost once the engine's partition L1 serves
+//     the compiled plan;
 //   - plan_cache_miss: the same loop against a cold engine every iteration,
 //     so each run pays plan compilation (the liveness walks and partition
 //     tables) before simulating — what one sweep grid point pays per path

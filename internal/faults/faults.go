@@ -17,6 +17,7 @@ package faults
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -65,16 +66,18 @@ type Config struct {
 	// Rate is the per-consultation fault probability in [0, 1]. Zero
 	// disables injection entirely.
 	Rate float64
-	// StallFactor multiplies a stalled transfer's duration (default 4).
+	// StallFactor multiplies a stalled transfer's duration (default 4 when
+	// below 1; a factor of exactly 1 counts stalls without slowing them).
 	StallFactor int64
 }
 
-// defaults normalizes zero fields.
+// defaults normalizes unset fields and clamps Rate into [0, 1]; a NaN rate
+// disables injection rather than surviving as a Rate no draw can satisfy.
 func (c *Config) defaults() {
-	if c.StallFactor <= 1 {
+	if c.StallFactor < 1 {
 		c.StallFactor = 4
 	}
-	if c.Rate < 0 {
+	if c.Rate < 0 || math.IsNaN(c.Rate) {
 		c.Rate = 0
 	}
 	if c.Rate > 1 {
@@ -106,7 +109,7 @@ func ParseSpec(spec string) (Config, error) {
 			if err != nil {
 				return cfg, fmt.Errorf("faults: bad rate %q: %w", kv[1], err)
 			}
-			if v < 0 || v > 1 {
+			if math.IsNaN(v) || v < 0 || v > 1 {
 				return cfg, fmt.Errorf("faults: rate %v out of [0,1]", v)
 			}
 			cfg.Rate = v

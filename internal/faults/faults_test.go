@@ -122,7 +122,16 @@ func TestParseSpec(t *testing.T) {
 	if _, err := ParseSpec("rate=0.5, seed=3"); err != nil {
 		t.Errorf("spaced spec rejected: %v", err)
 	}
-	for _, bad := range []string{"rate=2", "rate=x", "seed=-1", "stall=0", "bogus=1", "rate"} {
+	// A stall factor of 1 is a valid input (stalls counted, not slowed) and
+	// must survive New; only an unset (zero) factor takes the default.
+	cfg, err = ParseSpec("rate=0.5,stall=1")
+	if err != nil {
+		t.Fatalf("stall=1 rejected: %v", err)
+	}
+	if got := New(cfg).Config().StallFactor; cfg.StallFactor != 1 || got != 1 {
+		t.Errorf("stall=1: parsed %d, injector uses %d; want 1 and 1", cfg.StallFactor, got)
+	}
+	for _, bad := range []string{"rate=2", "rate=x", "rate=NaN", "rate=nan", "rate=-Inf", "seed=-1", "stall=0", "bogus=1", "rate"} {
 		if _, err := ParseSpec(bad); err == nil {
 			t.Errorf("spec %q accepted", bad)
 		}
@@ -136,6 +145,9 @@ func TestStallFactorDefaultAndClamp(t *testing.T) {
 	}
 	if got := New(Config{Rate: 7}).Config().Rate; got != 1 {
 		t.Errorf("rate clamp = %v, want 1", got)
+	}
+	if nan := New(Config{Rate: math.NaN()}); nan.Config().Rate != 0 || nan.Enabled() {
+		t.Errorf("NaN rate normalized to %v (enabled %v), want 0 and disabled", nan.Config().Rate, nan.Enabled())
 	}
 	// At rate 1 every transfer faults, split between stall and abort.
 	s := inj.Stream(3)

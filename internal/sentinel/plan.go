@@ -3,12 +3,12 @@ package sentinel
 import "sync/atomic"
 
 // This file precomputes the per-block quantities the runtime's DES inner loop
-// queries while simulating one training iteration. The legacy path asked the
-// Analysis for fetch/evict/working sets per sample, paying a liveness walk
-// (with map-backed dedup) for every block of every sample; a BlockPlan pays
-// that walk once per (analysis, partition) and serves every subsequent sample
-// from immutable arrays. A plan is a pure function of its inputs, so sharing
-// one across samples, engines, and sweep grid points cannot change results.
+// queries while simulating one training iteration. Asking the Analysis for
+// fetch/evict/working sets costs a liveness walk (with map-backed dedup) per
+// block; a BlockPlan pays that walk once per (analysis, partition) and serves
+// every subsequent sample from immutable arrays. A plan is a pure function of
+// its inputs, so sharing one across samples, engines, and sweep grid points
+// cannot change results.
 
 // BlockPlan is the immutable per-block query table of one partition of one
 // analyzed iteration. All slices are indexed by block position and must be
@@ -40,14 +40,9 @@ type BlockPlan struct {
 	WorkingBytes []int64
 
 	// Iteration-level aggregates, hoisted so per-sample paths stop re-walking
-	// the trace: total compute, the liveness peak, the largest single-operator
-	// working set, the total tensor footprint, and the largest per-block
-	// working set (the on-demand residency peak).
+	// the trace: total compute and the liveness peak.
 	TotalComputeNS    int64
 	PeakResidentBytes int64
-	MaxSingleOpBytes  int64
-	TotalBytes        int64
-	MaxWorkingBytes   int64
 }
 
 // NewBlockPlan walks the analysis once and materializes the block query
@@ -65,8 +60,6 @@ func NewBlockPlan(a *Analysis, blocks []Block) *BlockPlan {
 		WorkingBytes:       make([]int64, n),
 		TotalComputeNS:     a.TotalComputeNS(),
 		PeakResidentBytes:  a.PeakResidentBytes(),
-		MaxSingleOpBytes:   a.MaxSingleOpBytes(),
-		TotalBytes:         a.Trace.TotalBytes(),
 	}
 	prev := Block{}
 	for i, b := range blocks {
@@ -82,9 +75,6 @@ func NewBlockPlan(a *Analysis, blocks []Block) *BlockPlan {
 		p.WorkingIDs[i] = ids
 		p.WorkingIDBytes[i] = sizes
 		p.WorkingBytes[i] = total
-		if total > p.MaxWorkingBytes {
-			p.MaxWorkingBytes = total
-		}
 		if i >= 1 {
 			if i+1 < n {
 				p.PipeEvictBytes[i] = a.EvictBytes(blocks[i-1], blocks[i+1].Start)

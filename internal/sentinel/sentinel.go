@@ -320,55 +320,10 @@ func (a *Analysis) computeMaxSingleOpBytes() int64 {
 // BytesOf returns a tensor's size.
 func (a *Analysis) BytesOf(id int64) int64 { return a.bytesOf[id] }
 
-// FetchIDs lists the distinct tensors FetchBytes counts, for runtimes that
-// materialize residency.
-func (a *Analysis) FetchIDs(b, prev Block) []int64 {
-	var out []int64
-	a.forEachTensor(b, func(id int64) {
-		p, produced := a.producer[id]
-		if produced && p >= prev.Start && p < b.End && p <= a.firstUse[id] {
-			return
-		}
-		out = append(out, id)
-	})
-	return out
-}
-
 // WorkingIDs lists the distinct tensors a block touches.
 func (a *Analysis) WorkingIDs(b Block) []int64 {
 	var out []int64
 	a.forEachTensor(b, func(id int64) { out = append(out, id) })
-	return out
-}
-
-// EvictIDs lists the tensors EvictBytes counts (produced in b, live at or
-// after `after`).
-func (a *Analysis) EvictIDs(b Block, after int) []int64 {
-	var out []int64
-	seen := map[int64]bool{}
-	for i := b.Start; i < b.End; i++ {
-		for _, id := range a.Trace.Records[i].Outputs {
-			if seen[id] {
-				continue
-			}
-			seen[id] = true
-			if a.lastUse[id] >= after {
-				out = append(out, id)
-			}
-		}
-	}
-	return out
-}
-
-// DeadIDs lists tensors referenced in b whose last use is before `after` —
-// free to drop without write-back.
-func (a *Analysis) DeadIDs(b Block, after int) []int64 {
-	var out []int64
-	a.forEachTensor(b, func(id int64) {
-		if a.lastUse[id] < after {
-			out = append(out, id)
-		}
-	})
 	return out
 }
 
